@@ -240,11 +240,11 @@ int CmdBuildIndex(const FlagMap& flags) {
 
   WallTimer timer;
   const Duration window = graph->WindowFromPercent(window_pct);
-  const IrsApprox index =
+  std::optional<IrsApprox> index(
       ckpt.enabled()
           ? ComputeIrsApproxCheckpointed(*graph, window, options, ckpt,
                                          &ckpt_stats)
-          : IrsApprox::Compute(*graph, window, options);
+          : IrsApprox::Compute(*graph, window, options));
   const double build_seconds = timer.ElapsedSeconds();
   if (ckpt.enabled()) {
     std::printf(
@@ -254,13 +254,21 @@ int CmdBuildIndex(const FlagMap& flags) {
         ckpt_stats.checkpoint_failures,
         ckpt_stats.invalid_checkpoints_skipped);
   }
-  if (!SaveInfluenceIndex(index, out)) return 1;
+  if (!SaveInfluenceIndex(*index, out)) return 1;
   obs::RunLedger::Global().RecordOutput(out);
   std::printf(
       "built index in %.2fs (window %lld, beta %zu, %.1f MB) -> %s\n",
-      build_seconds, static_cast<long long>(index.window()),
+      build_seconds, static_cast<long long>(index->window()),
       static_cast<size_t>(1) << options.precision,
-      index.MemoryUsageBytes() / (1024.0 * 1024.0), out.c_str());
+      index->MemoryUsageBytes() / (1024.0 * 1024.0), out.c_str());
+  {
+    // Freeing the per-node sketches is part of the build's wall time; give
+    // it a ledger phase so it is not left unattributed.
+    const size_t sketches = index->NumAllocatedSketches();
+    obs::ProgressPhase phase("irs.approx.free", sketches);
+    index.reset();
+    phase.SetDone(sketches);
+  }
   return 0;
 }
 

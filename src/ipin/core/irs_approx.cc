@@ -16,7 +16,11 @@ namespace ipin {
 namespace {
 
 // Below this edge count the slab build's fixed costs (P sketch arrays, the
-// stitch pass) outweigh any speedup; stay on the one-pass scan.
+// stitch pass) outweigh any speedup; stay on the one-pass scan. Above it
+// four slabs beat one thread at both ends of the window range measured
+// (140,800 edges: 0.97 s vs 1.33 s at a 10% window, 0.27 s vs 0.72 s at 2%;
+// DESIGN.md §10). They lost at 10% while every vHLL cell was its own heap
+// vector: the threads contended on malloc and the memory tally.
 constexpr size_t kParallelBuildMinEdges = 4096;
 // Never cut slabs smaller than this many edges.
 constexpr size_t kMinSlabEdges = 1024;
@@ -100,7 +104,7 @@ IrsApprox IrsApprox::ComputeSequential(const InteractionGraph& graph,
 
 // Correctness sketch (full argument in DESIGN.md §10). A node's final cell
 // lists are the canonical Pareto frontier (domination pruning, Lemma 3) of
-// the set of (rank, channel-end-time) pairs that reach it, and AddEntry
+// the set of (rank, channel-end-time) pairs that reach it, and AddEntry and
 // produces that frontier regardless of insertion order — so any schedule
 // inserting the same pair set yields bit-identical sketches. Slab builds
 // insert exactly the pairs carried by channels confined to one slab; every

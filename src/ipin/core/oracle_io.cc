@@ -10,6 +10,7 @@
 #include "ipin/common/string_util.h"
 #include "ipin/obs/memtally.h"
 #include "ipin/obs/metrics.h"
+#include "ipin/obs/progress.h"
 
 namespace ipin {
 namespace {
@@ -176,6 +177,9 @@ bool SaveInfluenceIndex(const IrsApprox& index, const std::string& path) {
     LogError("oracle_io: injected save failure for " + path);
     return false;
   }
+  // Its own ledger phase: with the scan linear, writing the index is a
+  // large share of a build's wall time. Units are nodes.
+  obs::ProgressPhase phase("oracle_io.save", index.num_nodes());
   SafeFileWriter writer(path, kIndexFileType, kIndexFormatVersion);
 
   std::string header;
@@ -209,6 +213,7 @@ bool SaveInfluenceIndex(const IrsApprox& index, const std::string& path) {
       payload = payload.substr(0, short_write.short_write);
     }
     if (!writer.AppendFrame(payload)) return false;
+    phase.Tick(count);
   }
   return writer.Commit();
 }

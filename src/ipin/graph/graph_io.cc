@@ -34,7 +34,7 @@ struct ParsedLine {
   // Line index within the chunk (0-based); the splice adds the chunk's
   // global offset to recover file line numbers for diagnostics.
   uint32_t local_line = 0;
-  enum Kind : uint8_t { kOk, kTooFewFields, kUnparsable };
+  enum Kind : uint8_t { kOk, kTooFewFields, kUnparsable, kTimeOutOfRange };
   Kind kind = kOk;
 };
 
@@ -79,6 +79,9 @@ void ParseChunk(std::string_view text, EdgeListFormat format,
     parsed.src = *src;
     parsed.dst = *dst;
     parsed.time = *time;
+    if (!IsValidInteractionTime(*time)) {
+      parsed.kind = ParsedLine::kTimeOutOfRange;
+    }
     out->lines.push_back(parsed);
   }
 }
@@ -182,6 +185,18 @@ std::optional<InteractionGraph> LoadInteractionsFromFile(
         LogError(StrFormat("%s:%zu: malformed edge line (unparsable or "
                            "negative field)",
                            path.c_str(), line_no));
+        return std::nullopt;
+      }
+      if (parsed.kind == ParsedLine::kTimeOutOfRange) {
+        if (mode == ParseMode::kLenient) {
+          ++skipped_malformed;
+          record_skip(line_no, "timestamp out of range");
+          continue;
+        }
+        LogError(StrFormat("%s:%zu: timestamp %lld out of range (|t| must be "
+                           "below 2^55; nanosecond times are not supported)",
+                           path.c_str(), line_no,
+                           static_cast<long long>(parsed.time)));
         return std::nullopt;
       }
       // Lenient mode treats a timestamp running backwards as damage too: a

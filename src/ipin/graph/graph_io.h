@@ -35,7 +35,8 @@ enum class ParseMode {
 /// non-negative integers; they are remapped to a dense [0, n) range in order
 /// of first appearance. Interactions are sorted by time after loading.
 /// Returns nullopt if the file cannot be opened or (in strict mode) any data
-/// line is malformed (logs the offending line and reason).
+/// line is malformed (logs the offending line and reason). A timestamp
+/// outside IsValidInteractionTime counts as malformed.
 std::optional<InteractionGraph> LoadInteractionsFromFile(
     const std::string& path, EdgeListFormat format = EdgeListFormat::kSrcDstTime,
     ParseMode mode = ParseMode::kStrict);

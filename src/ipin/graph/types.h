@@ -17,6 +17,18 @@ using Timestamp = int64_t;
 /// Maximal channel duration (the paper's omega), in timestamp units.
 using Duration = int64_t;
 
+/// Interaction timestamps the library accepts: |t| < 2^55. The vHLL sketches
+/// store times in a 56-bit field and some analyses negate timestamps, so the
+/// range is symmetric. It holds Unix time in seconds, milliseconds or
+/// microseconds, but not in nanoseconds.
+inline constexpr Timestamp kMaxInteractionTime = (Timestamp{1} << 55) - 1;
+inline constexpr Timestamp kMinInteractionTime = -kMaxInteractionTime;
+
+/// True when `t` lies in [kMinInteractionTime, kMaxInteractionTime].
+inline constexpr bool IsValidInteractionTime(Timestamp t) {
+  return t >= kMinInteractionTime && t <= kMaxInteractionTime;
+}
+
 /// Sentinel for "no timestamp" (used e.g. for never-activated nodes).
 inline constexpr Timestamp kNoTimestamp = INT64_MIN;
 

@@ -39,6 +39,11 @@
 //
 // age_us is the time between the request's completion and the dump, so a
 // reader can line records up against log timestamps.
+//
+// Contract — record before respond: OracleServer and RouterServer publish a
+// request's record (and the router its leg records) before the response goes
+// out on the socket. A client that has read a reply, and anything it does
+// next, always finds that request in the recorder.
 
 namespace ipin::serve {
 
@@ -58,8 +63,10 @@ struct RequestRecord {
   int shard = -1;
   /// Per-stage timings. admission covers parse + admission decision,
   /// queue the bounded-queue wait, eval the oracle evaluation, write the
-  /// response serialization + socket write. total is end-to-end and can
-  /// exceed the sum (scheduling gaps between stages).
+  /// response serialization. total runs from arrival until the response is
+  /// ready to send and can exceed the sum (scheduling gaps between stages).
+  /// The socket write is in no stage: servers record before they respond
+  /// (see FlightRecorder).
   int64_t admission_us = 0;
   int64_t queue_us = 0;
   int64_t eval_us = 0;

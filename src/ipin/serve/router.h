@@ -257,6 +257,9 @@ class RouterServer {
   static void WriteResponse(const std::shared_ptr<Connection>& conn,
                             const Response& response,
                             int64_t write_timeout_ms);
+  /// Sends one serialized response line.
+  static void WriteLine(const std::shared_ptr<Connection>& conn,
+                        const std::string& line, int64_t write_timeout_ms);
 
   ShardMapManager* const map_;
   const RouterOptions options_;

@@ -494,9 +494,9 @@ void OracleServer::HandleRequest(const std::shared_ptr<Connection>& conn,
     response.status = StatusCode::kUnavailable;
     response.error = "server is draining";
     response.retry_after_ms = options_.retry_after_ms;
-    WriteResponse(conn, response, options_.write_timeout_ms);
     RecordRejected(trace_id, id, request.mode, request.seeds.size(),
                    StatusCode::kUnavailable, now);
+    WriteResponse(conn, response, options_.write_timeout_ms);
     IPIN_TRACE_ASYNC_END("serve.request", trace_id);
     return;
   }
@@ -515,9 +515,9 @@ void OracleServer::HandleRequest(const std::shared_ptr<Connection>& conn,
     response.status = StatusCode::kOverloaded;
     response.retry_after_ms = options_.retry_after_ms;
     IPIN_COUNTER_ADD("serve.requests.shed", 1);
-    WriteResponse(conn, response, options_.write_timeout_ms);
     RecordRejected(trace_id, id, mode, num_seeds, StatusCode::kOverloaded,
                    now);
+    WriteResponse(conn, response, options_.write_timeout_ms);
     IPIN_TRACE_ASYNC_END("serve.request", trace_id);
     return;
   }
@@ -578,11 +578,11 @@ void OracleServer::WorkerLoop() {
     }
     IPIN_TRACE_ASYNC_BEGIN("serve.write", trace_id);
     const Clock::time_point write_start = Clock::now();
-    WriteResponse(task->conn, response, options_.write_timeout_ms);
+    const std::string line = SerializeResponse(response);
     const Clock::time_point done = Clock::now();
-    IPIN_TRACE_ASYNC_END("serve.write", trace_id);
-    IPIN_TRACE_ASYNC_END("serve.request", trace_id);
 
+    // Record before respond: a client that acts on the reply must find
+    // this request in the flight recorder already.
     RequestRecord record;
     record.trace_id = trace_id;
     record.id = task->request.id;
@@ -597,6 +597,9 @@ void OracleServer::WorkerLoop() {
     record.write_us = ToMicros(done - write_start);
     record.total_us = ToMicros(done - task->enqueued);
     flight_.Record(record);
+    WriteLine(task->conn, line, options_.write_timeout_ms);
+    IPIN_TRACE_ASYNC_END("serve.write", trace_id);
+    IPIN_TRACE_ASYNC_END("serve.request", trace_id);
     if (record.total_us > options_.slow_query_us) {
       LogWarning(StrFormat(
           "serve: slow query trace_id=%s id=%lld status=%s total_us=%lld "
@@ -898,7 +901,12 @@ void OracleServer::WriteResponse(const std::shared_ptr<Connection>& conn,
                                  const Response& response,
                                  int64_t write_timeout_ms) {
   if (conn->broken.load(std::memory_order_acquire)) return;
-  const std::string line = SerializeResponse(response);
+  WriteLine(conn, SerializeResponse(response), write_timeout_ms);
+}
+
+void OracleServer::WriteLine(const std::shared_ptr<Connection>& conn,
+                             const std::string& line,
+                             int64_t write_timeout_ms) {
   std::lock_guard<std::mutex> lock(conn->write_mu);
   if (conn->broken.load(std::memory_order_acquire)) return;
   if (!WriteAll(conn->fd, line, write_timeout_ms)) {

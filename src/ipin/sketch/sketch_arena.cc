@@ -54,7 +54,7 @@ SketchArena::SketchArena(
     uint8_t* counts = cell_counts_.data() + s * beta_;
     slot_entry_base_[s] = next_entry;
     for (size_t c = 0; c < beta_; ++c) {
-      const VersionedHll::CellList& list = sketch->cell(c);
+      const std::span<const VersionedHll::Entry> list = sketch->cell(c);
       // u8 per-cell counts: an undominated list holds at most 64 entries
       // (strictly ascending u8 ranks bounded by the hash width).
       IPIN_CHECK_LE(list.size(), 64u);

@@ -49,6 +49,10 @@ if [ "$OBS_MODE" = "obs-enabled" ]; then
   grep -q 'graph.parse' "$WORK/show.out" \
     || fail "show missing the graph.parse phase"
   grep -q 'irs.' "$WORK/show.out" || fail "show missing the IRS scan phase"
+  grep -q 'oracle_io.save' "$WORK/show.out" \
+    || fail "show missing the index save phase"
+  grep -q 'irs.approx.free' "$WORK/show.out" \
+    || fail "show missing the index teardown phase"
 fi
 
 # --- diff ------------------------------------------------------------------

@@ -90,6 +90,33 @@ TEST_F(GraphIoTest, RejectsNegativeNodeIds) {
   EXPECT_FALSE(LoadInteractionsFromFile(path_).has_value());
 }
 
+TEST_F(GraphIoTest, RejectsTimestampsOutsideTheSketchRange) {
+  // 2^55 is the first time the sketches cannot hold; nanosecond Unix times
+  // (about 1.7e18) are far beyond it. Strict mode fails the load.
+  WriteFile("0 1 5\n1 2 36028797018963968\n");
+  EXPECT_FALSE(LoadInteractionsFromFile(path_).has_value());
+  WriteFile("0 1 -36028797018963968\n");
+  EXPECT_FALSE(LoadInteractionsFromFile(path_).has_value());
+  WriteFile("0 1 1700000000000000000\n");
+  EXPECT_FALSE(LoadInteractionsFromFile(path_).has_value());
+}
+
+TEST_F(GraphIoTest, AcceptsTimestampsAtTheRangeEdges) {
+  WriteFile("0 1 -36028797018963967\n1 2 36028797018963967\n");
+  const auto graph = LoadInteractionsFromFile(path_);
+  ASSERT_TRUE(graph.has_value());
+  EXPECT_EQ(graph->interaction(0).time, kMinInteractionTime);
+  EXPECT_EQ(graph->interaction(1).time, kMaxInteractionTime);
+}
+
+TEST_F(GraphIoTest, LenientModeSkipsOutOfRangeTimestamps) {
+  WriteFile("0 1 5\n1 2 36028797018963968\n2 0 8\n");
+  const auto graph = LoadInteractionsFromFile(
+      path_, EdgeListFormat::kSrcDstTime, ParseMode::kLenient);
+  ASSERT_TRUE(graph.has_value());
+  EXPECT_EQ(graph->num_interactions(), 2u);
+}
+
 TEST_F(GraphIoTest, LenientModeSkipsMalformedLines) {
   obs::Counter* skipped =
       obs::MetricsRegistry::Global().GetCounter("graph.io.skipped_lines");

@@ -139,14 +139,18 @@ TEST(TallyAllocatorTest, IrsExactTallyMatchesContainerAccounting) {
       << "measured=" << measured << " expected=" << expected;
 }
 
-// Same criterion for mem.vhll.bytes: cell-list vectors charge the tally;
-// the independent number is the sum of capacity * sizeof(Entry) over all
-// cell lists plus each sketch's cells_ vector itself.
-TEST(TallyAllocatorTest, VhllTallyMatchesContainerAccounting) {
+// mem.vhll.bytes is charged per node: each sketch's three buffers (entries,
+// per-cell offsets, max-rank cache) go through the tally, so the tally must
+// equal the sum of the sketches' MemoryUsageBytes exactly. The independent
+// bound: each sketch holds beta + 1 u32 offsets and beta u8 max ranks, and
+// its entry buffer lies between the live entries and 1.5x growth slack on
+// them (plus the growth step's rounding).
+TEST(TallyAllocatorTest, VhllTallyMatchesPerNodeAccounting) {
   obs::MemoryTally& tally = obs::GetMemoryTally("vhll");
   const int64_t before = tally.CurrentBytes();
 
   std::vector<VersionedHll> sketches;
+  sketches.reserve(8);
   uint64_t state = 999;
   for (int s = 0; s < 8; ++s) {
     sketches.emplace_back(/*precision=*/6, /*salt=*/7);
@@ -157,22 +161,22 @@ TEST(TallyAllocatorTest, VhllTallyMatchesContainerAccounting) {
   }
   const int64_t measured = tally.CurrentBytes() - before;
 
-  int64_t expected = 0;
+  int64_t reported = 0;
   for (const VersionedHll& sketch : sketches) {
     const size_t beta = static_cast<size_t>(1) << sketch.precision();
-    expected += static_cast<int64_t>(
-        beta * sizeof(VersionedHll::CellList));  // cells_ vector
-    for (size_t c = 0; c < beta; ++c) {
-      expected += static_cast<int64_t>(sketch.cell(c).capacity() *
-                                       sizeof(VersionedHll::Entry));
-    }
+    const size_t fixed = (beta + 1) * sizeof(uint32_t) + beta;
+    const size_t payload = sketch.NumEntries() * sizeof(VersionedHll::Entry);
+    const size_t bytes = sketch.MemoryUsageBytes();
+    EXPECT_GE(bytes, fixed + payload);
+    EXPECT_LE(bytes, fixed + payload + payload / 2 +
+                         2 * sizeof(VersionedHll::Entry));
+    reported += static_cast<int64_t>(bytes);
   }
 
   ASSERT_GT(measured, 0);
-  ASSERT_GT(expected, 0);
-  EXPECT_NEAR(static_cast<double>(measured), static_cast<double>(expected),
-              0.10 * static_cast<double>(expected))
-      << "measured=" << measured << " expected=" << expected;
+  EXPECT_EQ(measured, reported);
+  sketches.clear();
+  EXPECT_EQ(tally.CurrentBytes(), before);
 }
 
 TEST(TallyAllocatorTest, BottomKChargesAndReleases) {

@@ -529,6 +529,33 @@ TEST_F(RouterTest, LegRecordsLandInFlightRecorderWithShardTag) {
   EXPECT_NE(router_->DebugDump().find("\"shard\""), std::string::npos);
 }
 
+// Record before respond: the overall record and every leg record of a
+// request are in the recorder by the time its reply reaches the client. A
+// record written after the reply loses this race now and then; 200 rounds
+// make that loss near-certain to show.
+TEST_F(RouterTest, RecordsArePublishedBeforeTheReply) {
+  StartShards(2);
+  StartRouter();
+  OracleClient client = RouterClient();
+  for (int round = 0; round < 200; ++round) {
+    const auto response = client.Query({1, 2, 3, 40, 50});
+    ASSERT_TRUE(response.has_value()) << "round " << round;
+    const uint64_t trace_id = client.last_trace_id();
+    bool saw_overall = false;
+    size_t legs = 0;
+    for (const auto& record : router_->flight_recorder().RecentSnapshot()) {
+      if (record.trace_id != trace_id) continue;
+      if (record.shard < 0) {
+        saw_overall = true;
+      } else {
+        ++legs;
+      }
+    }
+    ASSERT_TRUE(saw_overall) << "round " << round;
+    ASSERT_EQ(legs, 2u) << "round " << round;
+  }
+}
+
 // --- Live resharding: double-dispatch, replica failover, fleet swaps ------
 
 // The zero-downtime tentpole, in-process: growing the fleet with a

@@ -743,6 +743,22 @@ TEST_F(ServeServerTest, DebugVerbDumpsSlowQueryWithStageTimings) {
   EXPECT_TRUE(found) << response->payload;
 }
 
+// Record before respond: a request's flight-recorder entry exists by the
+// time its reply reaches the client (200 rounds to expose a lost race).
+TEST_F(ServeServerTest, RecordIsPublishedBeforeTheReply) {
+  StartServer();
+  OracleClient client(MakeClientOptions());
+  for (int round = 0; round < 200; ++round) {
+    ASSERT_TRUE(client.Query({1, 2}).has_value()) << "round " << round;
+    const uint64_t trace_id = client.last_trace_id();
+    bool found = false;
+    for (const auto& record : server_->flight_recorder().RecentSnapshot()) {
+      found = found || record.trace_id == trace_id;
+    }
+    ASSERT_TRUE(found) << "round " << round;
+  }
+}
+
 #ifndef IPIN_OBS_DISABLED
 TEST_F(ServeServerTest, StatsReportsWindowedFields) {
   StartServer();

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <span>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -339,6 +341,241 @@ TEST(VhllTest, AddReturnsWhetherSketchChanged) {
   EXPECT_TRUE(vhll.Add(42, 10));
   EXPECT_FALSE(vhll.Add(42, 10));  // identical insert is a no-op
   EXPECT_TRUE(vhll.Add(42, 5));    // earlier sighting improves the entry
+}
+
+// --- Differential test: flat merges vs the insert-one-at-a-time rule ----
+
+// The reference: per-cell vectors updated one entry at a time by the
+// AddEntry rule the flat merges replaced, with the same four counters.
+// Every merge below must leave the real sketch exactly where this one ends.
+class ReferenceVhll {
+ public:
+  struct Pair {
+    uint8_t rank;
+    Timestamp time;
+  };
+
+  explicit ReferenceVhll(size_t num_cells) : cells_(num_cells) {}
+
+  bool AddEntry(size_t c, uint8_t rank, Timestamp t) {
+    ++attempts_;
+    std::vector<Pair>& list = cells_[c];
+    size_t pos = list.size();
+    while (pos > 0 && list[pos - 1].time > t) --pos;
+    if (pos > 0 && list[pos - 1].rank >= rank) return false;
+    while (pos > 0 && list[pos - 1].time == t) --pos;
+    size_t end = pos;
+    while (end < list.size() && list[end].rank <= rank) ++end;
+    if (end == pos) {
+      list.insert(list.begin() + static_cast<ptrdiff_t>(pos), Pair{rank, t});
+    } else {
+      evictions_ += end - pos;
+      list[pos] = Pair{rank, t};
+      list.erase(list.begin() + static_cast<ptrdiff_t>(pos) + 1,
+                 list.begin() + static_cast<ptrdiff_t>(end));
+    }
+    return true;
+  }
+
+  void MergeWindow(const ReferenceVhll& other, Timestamp merge_time,
+                   Duration window) {
+    const Timestamp bound = merge_time + window;
+    for (size_t c = 0; c < cells_.size(); ++c) {
+      for (const Pair& e : other.cells_[c]) {
+        if (e.time >= bound) break;
+        ++scanned_;
+        updates_ += AddEntry(c, e.rank, e.time);
+      }
+    }
+  }
+
+  void MergeAll(const ReferenceVhll& other) {
+    for (size_t c = 0; c < cells_.size(); ++c) {
+      for (const Pair& e : other.cells_[c]) AddEntry(c, e.rank, e.time);
+    }
+  }
+
+  bool MergeWithFloor(const ReferenceVhll& other, Timestamp floor,
+                      Timestamp bound) {
+    bool changed = false;
+    for (size_t c = 0; c < cells_.size(); ++c) {
+      for (const Pair& e : other.cells_[c]) {
+        if (e.time >= bound) break;
+        changed |= AddEntry(c, e.rank, std::max(e.time, floor));
+      }
+    }
+    return changed;
+  }
+
+  const std::vector<Pair>& cell(size_t c) const { return cells_[c]; }
+  size_t attempts() const { return attempts_; }
+  size_t evictions() const { return evictions_; }
+  size_t scanned() const { return scanned_; }
+  size_t updates() const { return updates_; }
+
+ private:
+  std::vector<std::vector<Pair>> cells_;
+  size_t attempts_ = 0;
+  size_t evictions_ = 0;
+  size_t scanned_ = 0;
+  size_t updates_ = 0;
+};
+
+// Cell contents, the max-rank cache and all four counters must match.
+::testing::AssertionResult SameAsReference(const VersionedHll& vhll,
+                                           const ReferenceVhll& ref) {
+  for (size_t c = 0; c < vhll.num_cells(); ++c) {
+    const std::span<const VersionedHll::Entry> got = vhll.cell(c);
+    const std::vector<ReferenceVhll::Pair>& want = ref.cell(c);
+    if (got.size() != want.size()) {
+      return ::testing::AssertionFailure()
+             << "cell " << c << " holds " << got.size() << " entries, want "
+             << want.size();
+    }
+    for (size_t i = 0; i < got.size(); ++i) {
+      if (got[i].rank != want[i].rank || got[i].time != want[i].time) {
+        return ::testing::AssertionFailure()
+               << "cell " << c << " entry " << i << " is ("
+               << int{got[i].rank} << ", " << Timestamp{got[i].time}
+               << "), want (" << int{want[i].rank} << ", " << want[i].time
+               << ")";
+      }
+    }
+    const uint8_t max_rank = want.empty() ? 0 : want.back().rank;
+    if (vhll.max_ranks()[c] != max_rank) {
+      return ::testing::AssertionFailure() << "max rank of cell " << c;
+    }
+  }
+  if (vhll.NumInsertAttempts() != ref.attempts() ||
+      vhll.NumEvictions() != ref.evictions() ||
+      vhll.NumMergeEntriesScanned() != ref.scanned() ||
+      vhll.NumCellUpdates() != ref.updates()) {
+    return ::testing::AssertionFailure()
+           << "counters (attempts, evictions, scanned, updates) = ("
+           << vhll.NumInsertAttempts() << ", " << vhll.NumEvictions() << ", "
+           << vhll.NumMergeEntriesScanned() << ", " << vhll.NumCellUpdates()
+           << "), want (" << ref.attempts() << ", " << ref.evictions() << ", "
+           << ref.scanned() << ", " << ref.updates() << ")";
+  }
+  if (!vhll.CheckInvariants()) {
+    return ::testing::AssertionFailure() << "invariants violated";
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Random AddEntry / MergeWindow / MergeAll / MergeWithFloor sequences over
+// three sketch pairs. Times come from a narrow range around `base`, so
+// equal-time ties are common and window bounds and floors often land
+// exactly on entry times; a negative base models the negated timestamps
+// source sets and neighborhood profiles feed the sketch.
+void RunDifferential(int precision, uint64_t seed, Timestamp base, int ops) {
+  Rng rng(seed);
+  const size_t beta = size_t{1} << precision;
+  // A few cells spread over the sketch keep the lists long enough to merge.
+  std::vector<size_t> cells;
+  for (int i = 0; i < 16; ++i) cells.push_back(rng.NextBounded(beta));
+  cells.push_back(0);
+  cells.push_back(beta - 1);
+  const uint64_t max_rank = static_cast<uint64_t>(64 - precision + 1);
+  const auto time = [&] {
+    return base + static_cast<Timestamp>(rng.NextBounded(41)) - 20;
+  };
+  // A bound equal to some entry's time in `sketch`, else a random time.
+  const auto bound_on_entry = [&](const VersionedHll& sketch) {
+    const size_t c = cells[rng.NextBounded(cells.size())];
+    const std::span<const VersionedHll::Entry> list = sketch.cell(c);
+    if (list.empty()) return time();
+    return Timestamp{list[rng.NextBounded(list.size())].time};
+  };
+
+  std::vector<VersionedHll> sketches(3, VersionedHll(precision, 7));
+  std::vector<ReferenceVhll> refs(3, ReferenceVhll(beta));
+  for (int op = 0; op < ops; ++op) {
+    const size_t i = rng.NextBounded(3);
+    const size_t j = (i + 1 + rng.NextBounded(2)) % 3;
+    const uint64_t kind = rng.NextBounded(10);
+    if (kind < 5) {
+      const size_t c = cells[rng.NextBounded(cells.size())];
+      // Small ranks most of the time, so equal ranks collide too.
+      const uint8_t rank = static_cast<uint8_t>(
+          1 + rng.NextBounded(rng.NextBernoulli(0.8) ? 6 : max_rank));
+      const Timestamp t = time();
+      ASSERT_EQ(sketches[i].AddEntry(c, rank, t), refs[i].AddEntry(c, rank, t))
+          << "op " << op;
+    } else if (kind < 7) {
+      const Duration window = 1 + static_cast<Duration>(rng.NextBounded(30));
+      const Timestamp bound = rng.NextBernoulli(0.5)
+                                  ? bound_on_entry(sketches[j])
+                                  : time() + window;
+      sketches[i].MergeWindow(sketches[j], bound - window, window);
+      refs[i].MergeWindow(refs[j], bound - window, window);
+    } else if (kind < 8) {
+      sketches[i].MergeAll(sketches[j]);
+      refs[i].MergeAll(refs[j]);
+    } else {
+      const Timestamp floor = rng.NextBernoulli(0.5)
+                                  ? bound_on_entry(sketches[j])
+                                  : time();
+      const Timestamp bound =
+          rng.NextBernoulli(0.3)
+              ? bound_on_entry(sketches[j])
+              : floor + static_cast<Timestamp>(rng.NextBounded(40));
+      ASSERT_EQ(sketches[i].MergeWithFloor(sketches[j], floor, bound),
+                refs[i].MergeWithFloor(refs[j], floor, bound))
+          << "op " << op;
+    }
+    ASSERT_TRUE(SameAsReference(sketches[i], refs[i]))
+        << "precision " << precision << " seed " << seed << " op " << op
+        << " kind " << kind;
+  }
+}
+
+TEST(VhllDifferentialTest, FlatMergesMatchReferenceAtPrecision4) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    RunDifferential(4, seed, /*base=*/0, /*ops=*/400);
+  }
+}
+
+TEST(VhllDifferentialTest, FlatMergesMatchReferenceOnNegatedTimestamps) {
+  for (uint64_t seed = 100; seed <= 120; ++seed) {
+    RunDifferential(4, seed, /*base=*/-1'700'000'000'000, /*ops=*/400);
+  }
+}
+
+TEST(VhllDifferentialTest, FlatMergesMatchReferenceAtPrecision18) {
+  for (uint64_t seed = 200; seed <= 202; ++seed) {
+    RunDifferential(18, seed, /*base=*/-5, /*ops=*/60);
+  }
+}
+
+TEST(VhllDifferentialTest, EntryTimeRangeEndsAreStoredExactly) {
+  VersionedHll vhll(4);
+  ReferenceVhll ref(16);
+  for (const Timestamp t :
+       {VersionedHll::kMinEntryTime, VersionedHll::kMaxEntryTime,
+        Timestamp{-1}, Timestamp{0}}) {
+    EXPECT_EQ(vhll.AddEntry(3, 2, t), ref.AddEntry(3, 2, t));
+  }
+  EXPECT_TRUE(SameAsReference(vhll, ref));
+  std::string blob;
+  vhll.Serialize(&blob);
+  size_t offset = 0;
+  const auto parsed = VersionedHll::Deserialize(blob, &offset);
+  ASSERT_TRUE(parsed.has_value());
+  EXPECT_EQ(parsed->cell(3)[0].time, VersionedHll::kMinEntryTime);
+}
+
+TEST(VhllDeathTest, TimestampOutsideEntryRangeAborts) {
+  VersionedHll vhll(4);
+  EXPECT_DEATH(vhll.AddEntry(0, 1, VersionedHll::kMaxEntryTime + 1),
+               "FitsEntryTime");
+  EXPECT_DEATH(vhll.Add(42, VersionedHll::kMinEntryTime - 1),
+               "FitsEntryTime");
+  VersionedHll other(4);
+  other.AddEntry(0, 1, 0);
+  EXPECT_DEATH(vhll.MergeWithFloor(other, VersionedHll::kMaxEntryTime + 1,
+                                   VersionedHll::kMaxEntryTime + 2),
+               "kMaxEntryTime");
 }
 
 class VhllAccuracyTest : public ::testing::TestWithParam<int> {};
