@@ -1,6 +1,7 @@
 #include "ipin/common/safe_io.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -9,8 +10,17 @@
 #include <cstring>
 #include <fstream>
 
+#include "ipin/common/crc32c_internal.h"
 #include "ipin/common/failpoint.h"
 #include "ipin/common/logging.h"
+
+#if defined(__x86_64__)
+#define IPIN_CRC32C_X86 1
+#include <nmmintrin.h>
+#elif defined(__aarch64__) && defined(__ARM_FEATURE_CRC32)
+#define IPIN_CRC32C_ARM 1
+#include <arm_acle.h>
+#endif
 
 namespace ipin {
 namespace {
@@ -20,8 +30,7 @@ constexpr size_t kHeaderSize = sizeof(kMagic) + 3 * sizeof(uint32_t);
 constexpr size_t kFrameHeaderSize = 3 * sizeof(uint32_t);
 
 // CRC-32C (Castagnoli, reflected polynomial 0x82F63B78), byte-at-a-time
-// table. Software only: portable, and these files are read/written once per
-// build, so checksum throughput is nowhere near the critical path.
+// table: the portable fallback for CPUs without a CRC32C instruction.
 const uint32_t* Crc32cTable() {
   static const uint32_t* table = [] {
     auto* t = new uint32_t[256];
@@ -42,6 +51,48 @@ void AppendRaw(std::string* out, T value) {
   out->append(reinterpret_cast<const char*>(&value), sizeof(T));
 }
 
+// The hardware loops consume one byte at a time up to 8-byte alignment, then
+// one 64-bit word per instruction, then the tail bytes. Every index byte goes
+// through here twice per build-and-open, which is what makes the
+// instruction worth ~15x over the table.
+#ifdef IPIN_CRC32C_X86
+__attribute__((target("sse4.2"))) uint32_t Crc32cSse42(const void* data,
+                                                       size_t size,
+                                                       uint32_t seed) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  uint32_t crc = ~seed;
+  for (; size > 0 && (reinterpret_cast<uintptr_t>(bytes) & 7) != 0; --size) {
+    crc = _mm_crc32_u8(crc, *bytes++);
+  }
+  uint64_t crc64 = crc;
+  for (; size >= 8; size -= 8, bytes += 8) {
+    uint64_t word;
+    std::memcpy(&word, bytes, sizeof(word));
+    crc64 = _mm_crc32_u64(crc64, word);
+  }
+  crc = static_cast<uint32_t>(crc64);
+  for (; size > 0; --size) crc = _mm_crc32_u8(crc, *bytes++);
+  return ~crc;
+}
+#endif
+
+#ifdef IPIN_CRC32C_ARM
+uint32_t Crc32cArm(const void* data, size_t size, uint32_t seed) {
+  const auto* bytes = static_cast<const unsigned char*>(data);
+  uint32_t crc = ~seed;
+  for (; size > 0 && (reinterpret_cast<uintptr_t>(bytes) & 7) != 0; --size) {
+    crc = __crc32cb(crc, *bytes++);
+  }
+  for (; size >= 8; size -= 8, bytes += 8) {
+    uint64_t word;
+    std::memcpy(&word, bytes, sizeof(word));
+    crc = __crc32cd(crc, word);
+  }
+  for (; size > 0; --size) crc = __crc32cb(crc, *bytes++);
+  return ~crc;
+}
+#endif
+
 template <typename T>
 T ReadRawAt(const std::string& buffer, size_t offset) {
   T value;
@@ -58,7 +109,9 @@ std::string DirectoryOf(const std::string& path) {
 
 }  // namespace
 
-uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
+namespace internal {
+
+uint32_t Crc32cPortable(const void* data, size_t size, uint32_t seed) {
   const uint32_t* table = Crc32cTable();
   const auto* bytes = static_cast<const unsigned char*>(data);
   uint32_t crc = ~seed;
@@ -66,6 +119,57 @@ uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
     crc = (crc >> 8) ^ table[(crc ^ bytes[i]) & 0xff];
   }
   return ~crc;
+}
+
+Crc32cFn Crc32cHardware() {
+#if defined(IPIN_CRC32C_X86)
+  return __builtin_cpu_supports("sse4.2") ? &Crc32cSse42 : nullptr;
+#elif defined(IPIN_CRC32C_ARM)
+  return &Crc32cArm;
+#else
+  return nullptr;
+#endif
+}
+
+}  // namespace internal
+
+uint32_t Crc32c(const void* data, size_t size, uint32_t seed) {
+  static const internal::Crc32cFn crc32c = [] {
+    const internal::Crc32cFn hardware = internal::Crc32cHardware();
+    return hardware != nullptr ? hardware : &internal::Crc32cPortable;
+  }();
+  return crc32c(data, size, seed);
+}
+
+std::optional<std::string> ReadFileBytes(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return std::nullopt;
+  // Regular files are read straight into a buffer of their exact size; the
+  // loop keeps reading past st_size, so pipes and growing files work too.
+  struct stat st;
+  std::string bytes;
+  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode)) {
+    bytes.resize(static_cast<size_t>(st.st_size));
+  }
+  size_t filled = 0;
+  char tail[1 << 16];
+  for (;;) {
+    const bool in_buffer = filled < bytes.size();
+    char* dst = in_buffer ? bytes.data() + filled : tail;
+    const size_t want = in_buffer ? bytes.size() - filled : sizeof(tail);
+    const ssize_t got = ::read(fd, dst, want);
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      ::close(fd);
+      return std::nullopt;
+    }
+    if (got == 0) break;
+    if (!in_buffer) bytes.append(tail, static_cast<size_t>(got));
+    filled += static_cast<size_t>(got);
+  }
+  ::close(fd);
+  bytes.resize(filled);  // the file shrank while being read
+  return bytes;
 }
 
 SafeFileWriter::SafeFileWriter(std::string path, uint32_t file_type,
@@ -89,7 +193,7 @@ SafeFileWriter::SafeFileWriter(std::string path, uint32_t file_type,
   AppendRaw<uint32_t>(&header, file_type);
   AppendRaw<uint32_t>(&header, version);
   AppendRaw<uint32_t>(&header, Crc32c(header));
-  ok_ = WriteAll(header.data(), header.size());
+  ok_ = WriteAll(header);
 }
 
 SafeFileWriter::~SafeFileWriter() {
@@ -105,7 +209,7 @@ void SafeFileWriter::Abandon() {
   ok_ = false;
 }
 
-bool SafeFileWriter::WriteAll(const void* data, size_t size) {
+bool SafeFileWriter::WriteAll(std::string_view head, std::string_view body) {
   if (IPIN_FAILPOINT("safe_io.write").fail) {
     LogError("safe_io: injected write failure for " + path_);
     return false;
@@ -113,34 +217,31 @@ bool SafeFileWriter::WriteAll(const void* data, size_t size) {
   // Torn-write injection: silently persist only a prefix of this write and
   // report success, so the committed file ends up truncated mid-frame —
   // exactly what the reader's kTruncated detection must catch.
-  const auto short_write = IPIN_FAILPOINT("safe_io.write.short");
-  if (short_write.short_write != failpoint::Result::kNoLimit) {
-    size = std::min(size, short_write.short_write);
-  }
-  const auto* bytes = static_cast<const char*>(data);
-  while (size > 0) {
-    const ssize_t written = ::write(fd_, bytes, size);
-    if (written < 0) {
-      if (errno == EINTR) continue;
-      LogError("safe_io: write to " + tmp_path_ + " failed: " +
-               std::strerror(errno));
-      return false;
+  size_t limit = IPIN_FAILPOINT("safe_io.write.short").short_write;
+  for (std::string_view part : {head, body}) {
+    part = part.substr(0, limit);
+    limit -= part.size();
+    while (!part.empty()) {
+      const ssize_t written = ::write(fd_, part.data(), part.size());
+      if (written < 0) {
+        if (errno == EINTR) continue;
+        LogError("safe_io: write to " + tmp_path_ + " failed: " +
+                 std::strerror(errno));
+        return false;
+      }
+      part.remove_prefix(static_cast<size_t>(written));
     }
-    bytes += written;
-    size -= static_cast<size_t>(written);
   }
   return true;
 }
 
 bool SafeFileWriter::AppendFrame(std::string_view payload) {
   if (!ok_) return false;
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  AppendRaw<uint32_t>(&frame, static_cast<uint32_t>(payload.size()));
-  AppendRaw<uint32_t>(&frame, Crc32c(payload));
-  AppendRaw<uint32_t>(&frame, Crc32c(frame));  // guards the length itself
-  frame.append(payload);
-  ok_ = WriteAll(frame.data(), frame.size());
+  std::string header;
+  AppendRaw<uint32_t>(&header, static_cast<uint32_t>(payload.size()));
+  AppendRaw<uint32_t>(&header, Crc32c(payload));
+  AppendRaw<uint32_t>(&header, Crc32c(header));  // guards the length itself
+  ok_ = WriteAll(header, payload);
   return ok_;
 }
 
@@ -193,14 +294,12 @@ SafeOpenStatus SafeFileReader::Open(const std::string& path,
     exhausted_ = true;
     return SafeOpenStatus::kMissing;
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  std::optional<std::string> contents = ReadFileBytes(path);
+  if (!contents.has_value()) {
     exhausted_ = true;
     return SafeOpenStatus::kMissing;
   }
-  std::string contents((std::istreambuf_iterator<char>(in)),
-                       std::istreambuf_iterator<char>());
-  buffer_ = std::move(contents);
+  buffer_ = std::move(*contents);
   if (buffer_.size() < sizeof(kMagic)) {
     exhausted_ = true;
     return SafeOpenStatus::kTruncated;
@@ -225,8 +324,8 @@ SafeOpenStatus SafeFileReader::Open(const std::string& path,
   return SafeOpenStatus::kOk;
 }
 
-FrameStatus SafeFileReader::ReadFrame(std::string* payload) {
-  payload->clear();
+FrameStatus SafeFileReader::ReadFrame(std::string_view* payload) {
+  *payload = {};
   if (exhausted_) return FrameStatus::kEndOfFile;
   if (offset_ == buffer_.size()) {
     exhausted_ = true;
@@ -253,7 +352,7 @@ FrameStatus SafeFileReader::ReadFrame(std::string* payload) {
   if (Crc32c(static_cast<const void*>(data), payload_len) != payload_crc) {
     return FrameStatus::kCorrupt;  // this frame only; the next is intact
   }
-  payload->assign(data, payload_len);
+  *payload = std::string_view(data, payload_len);
   return FrameStatus::kOk;
 }
 

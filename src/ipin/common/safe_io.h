@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -37,8 +38,11 @@
 
 namespace ipin {
 
-/// CRC-32C (Castagnoli), the checksum used by the framing layer. Software
-/// table implementation; `seed` chains incremental computations.
+/// CRC-32C (Castagnoli), the checksum used by the framing layer. Every
+/// index byte passes through it on save and on open, so it runs on the CPU's
+/// CRC32C instruction (SSE4.2 on x86-64, the CRC extension on aarch64),
+/// chosen once per process, with a bytewise table as the portable fallback.
+/// Both give the same checksum; `seed` chains incremental computations.
 uint32_t Crc32c(const void* data, size_t size, uint32_t seed = 0);
 inline uint32_t Crc32c(std::string_view data, uint32_t seed = 0) {
   return Crc32c(data.data(), data.size(), seed);
@@ -62,7 +66,9 @@ class SafeFileWriter {
   /// False once any step has failed; AppendFrame/Commit become no-ops.
   bool ok() const { return ok_; }
 
-  /// Appends one checksummed frame. Returns false on I/O error.
+  /// Appends one checksummed frame. The 12-byte frame header and the
+  /// payload are written from where they are, never concatenated. Returns
+  /// false on I/O error.
   bool AppendFrame(std::string_view payload);
 
   /// fsyncs the temp file, renames it over the destination, and fsyncs the
@@ -70,7 +76,9 @@ class SafeFileWriter {
   bool Commit();
 
  private:
-  bool WriteAll(const void* data, size_t size);
+  // Writes head then body. The safe_io.write.short limit caps the two
+  // together, so a torn frame is cut at the same byte as a single buffer.
+  bool WriteAll(std::string_view head, std::string_view body = {});
   void Abandon();
 
   std::string path_;
@@ -90,7 +98,7 @@ enum class SafeOpenStatus {
 
 /// Outcome of reading one frame.
 enum class FrameStatus {
-  kOk,         // *payload filled
+  kOk,         // *payload views the frame's bytes
   kEndOfFile,  // clean end: no bytes after the previous frame
   kCorrupt,    // frame damaged; see CanContinue() for whether later frames
                // remain reachable
@@ -98,8 +106,8 @@ enum class FrameStatus {
 };
 
 /// Reads a file written by SafeFileWriter, frame by frame, verifying every
-/// checksum. The whole file is buffered on open (these files are read once
-/// into memory anyway by their consumers).
+/// checksum. Open reads the whole file into one exact-size buffer with a
+/// single read loop; frames are handed out as views into it, never copied.
 class SafeFileReader {
  public:
   /// Opens and validates the header. `expected_type` guards against feeding
@@ -109,13 +117,21 @@ class SafeFileReader {
   /// Format version from the header (valid after a kOk Open).
   uint32_t version() const { return version_; }
 
-  /// Reads the next frame into *payload. On kCorrupt with CanContinue(),
-  /// the damaged frame was skipped and the next call reads the following
-  /// frame; otherwise the reader is exhausted.
-  FrameStatus ReadFrame(std::string* payload);
+  /// Reads the next frame. On kOk *payload views its bytes inside the
+  /// reader's buffer, valid until the next Open or the reader's destruction;
+  /// otherwise *payload is empty. On kCorrupt with CanContinue(), the
+  /// damaged frame was skipped and the next call reads the following frame;
+  /// otherwise the reader is exhausted.
+  FrameStatus ReadFrame(std::string_view* payload);
 
   /// True while later frames are still reachable after a kCorrupt frame.
   bool CanContinue() const { return !exhausted_; }
+
+  /// File bytes after the last frame read (what later frames can occupy).
+  size_t remaining_bytes() const { return buffer_.size() - offset_; }
+
+  /// Size of the buffered file, for memory accounting.
+  size_t buffer_bytes() const { return buffer_.capacity(); }
 
  private:
   std::string buffer_;
@@ -123,6 +139,10 @@ class SafeFileReader {
   uint32_t version_ = 0;
   bool exhausted_ = false;
 };
+
+/// The whole content of `path`, read with one read loop into an exact-size
+/// buffer (for regular files); nullopt when it cannot be opened or read.
+std::optional<std::string> ReadFileBytes(const std::string& path);
 
 /// Convenience: true if `path` exists and begins with the safe_io magic
 /// (used for format auto-detection against legacy files).

@@ -57,6 +57,8 @@ IrsApprox::IrsApprox(Duration window, const IrsApproxOptions& options,
 void IrsApprox::Seal() {
   if (sealed_) return;
   IPIN_TRACE_SPAN("irs.approx.seal");
+  // A ledger phase too: sealing is part of every index open. Units are nodes.
+  obs::ProgressPhase phase("irs.approx.seal", num_nodes_);
   // Capture the per-sketch lifetime tallies before freeing their owners.
   sealed_insert_attempts_ = TotalInsertAttempts();
   sealed_evictions_ = TotalEvictions();
@@ -67,6 +69,7 @@ void IrsApprox::Seal() {
   sealed_ = true;
   sketches_.clear();
   sketches_.shrink_to_fit();
+  phase.SetDone(num_nodes_);
   IPIN_GAUGE_SET("sketch.arena.bytes", arena_->MemoryUsageBytes());
   IPIN_GAUGE_SET("sketch.arena.entries", arena_->TotalEntries());
 }

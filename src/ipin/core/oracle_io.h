@@ -18,6 +18,12 @@
 // instead of vanishing: every chunk whose checksum verifies is loaded, the
 // rest are dropped and reported (robustness.index.* metrics, log warnings).
 // Files written by the pre-safe_io format ("IPINIDX1") are still readable.
+//
+// Both directions run on the global thread pool (DESIGN.md §8): the save
+// serializes a bounded window of chunks in parallel and writes them in
+// order; the load reads the file in one go, checks every frame's CRC in file
+// order, then parses the chunks in parallel. Files, statuses, dropped
+// sections and warnings are identical at any thread count.
 
 namespace ipin {
 
@@ -27,7 +33,9 @@ enum class IndexLoadStatus {
   kDegraded,   // index usable, but >= 1 corrupt/unreachable section dropped
   kMissing,    // file absent or unreadable
   kTruncated,  // file ends before the index header is complete
-  kCorrupt,    // header (or legacy body) fails verification; nothing usable
+  kCorrupt,    // header (or legacy body) fails verification, or the header
+               // claims more nodes/sections than the file can hold;
+               // nothing usable
 };
 
 struct IndexLoadResult {

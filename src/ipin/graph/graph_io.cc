@@ -3,11 +3,11 @@
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <unordered_map>
 
 #include "ipin/common/failpoint.h"
 #include "ipin/common/logging.h"
+#include "ipin/common/safe_io.h"
 #include "ipin/common/string_util.h"
 #include "ipin/common/thread_pool.h"
 #include "ipin/obs/metrics.h"
@@ -95,15 +95,12 @@ std::optional<InteractionGraph> LoadInteractionsFromFile(
     LogError("graph_io: injected load failure for " + path);
     return std::nullopt;
   }
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
+  const std::optional<std::string> buffer = ReadFileBytes(path);
+  if (!buffer.has_value()) {
     LogError("cannot open interaction file: " + path);
     return std::nullopt;
   }
-  std::ostringstream buffer_stream;
-  buffer_stream << in.rdbuf();
-  const std::string buffer = std::move(buffer_stream).str();
-  const std::string_view text(buffer);
+  const std::string_view text(*buffer);
 
   // Newline-aligned chunks, parsed in parallel.
   size_t num_chunks = GlobalThreads();

@@ -15,11 +15,11 @@
 #include <cstring>
 #include <fstream>
 #include <mutex>
-#include <sstream>
 #include <thread>
 
 #include "ipin/common/logging.h"
 #include "ipin/common/random.h"
+#include "ipin/common/safe_io.h"
 #include "ipin/common/string_util.h"
 #include "ipin/serve/port_file.h"
 
@@ -51,14 +51,6 @@ std::string JsonEscape(const std::string& in) {
     }
   }
   return out;
-}
-
-std::optional<std::string> ReadFileBytes(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
 }
 
 /// Atomic overwrite (tmp + rename): a reloading router must never read a

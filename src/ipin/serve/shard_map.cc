@@ -4,8 +4,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <unordered_set>
 #include <utility>
 
@@ -13,6 +11,7 @@
 #include "ipin/common/hash.h"
 #include "ipin/common/json.h"
 #include "ipin/common/logging.h"
+#include "ipin/common/safe_io.h"
 #include "ipin/common/string_util.h"
 #include "ipin/obs/metrics.h"
 
@@ -53,15 +52,6 @@ std::string JsonEscape(std::string_view s) {
 bool Fail(std::string* error, std::string reason) {
   if (error != nullptr) *error = std::move(reason);
   return false;
-}
-
-std::optional<std::string> ReadFileToString(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buffer;
-  buffer << in.rdbuf();
-  if (in.bad()) return std::nullopt;
-  return buffer.str();
 }
 
 // Reads one endpoint from a shard object; `prefix` is "" for the primary
@@ -342,7 +332,7 @@ std::optional<ShardMap> ShardMap::Parse(std::string_view json,
 
 std::optional<ShardMap> ShardMap::ParseFile(const std::string& path,
                                             std::string* error) {
-  const auto doc = ReadFileToString(path);
+  const auto doc = ReadFileBytes(path);
   if (!doc.has_value()) {
     Fail(error, "cannot read " + path);
     return std::nullopt;

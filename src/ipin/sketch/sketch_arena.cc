@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "ipin/common/check.h"
+#include "ipin/common/thread_pool.h"
 #include "ipin/sketch/kernels.h"
 
 namespace ipin {
@@ -23,51 +24,58 @@ SketchArena::SketchArena(
   IPIN_CHECK_GE(precision, 4);
   IPIN_CHECK_LE(precision, 18);
 
-  // Pass 1: count slots and entries so every array is allocated exactly once.
-  size_t total_entries = 0;
-  for (const auto& sketch : sketches) {
-    if (sketch == nullptr) continue;
-    IPIN_CHECK_EQ(sketch->precision(), precision_);
-    IPIN_CHECK_EQ(sketch->salt(), salt_);
-    ++num_allocated_;
-    total_entries += sketch->NumEntries();
-  }
-
-  rank_plane_.resize(num_nodes_ * beta_, 0);
+  // Pass 1 (sequential): assign slots and entry bases in node order, so
+  // every array is allocated exactly once and each node's place is fixed.
   slot_of_.resize(num_nodes_, kNoSlot);
-  cell_counts_.resize(num_allocated_ * beta_, 0);
-  slot_entry_base_.resize(num_allocated_ + 1, 0);
-  entry_ranks_.resize(total_entries);
-  entry_times_.resize(total_entries);
-
-  // Pass 2: pack. Entries keep their in-cell order (ascending time,
-  // strictly ascending rank — the vHLL invariant the kernels rely on).
-  size_t next_slot = 0;
-  size_t next_entry = 0;
+  size_t total_entries = 0;
   for (size_t u = 0; u < num_nodes_; ++u) {
     const VersionedHll* sketch = sketches[u].get();
     if (sketch == nullptr) continue;
-    const size_t s = next_slot++;
-    slot_of_[u] = static_cast<uint32_t>(s);
-    const std::span<const uint8_t> ranks = sketch->max_ranks();
-    std::memcpy(rank_plane_.data() + u * beta_, ranks.data(), beta_);
-    uint8_t* counts = cell_counts_.data() + s * beta_;
-    slot_entry_base_[s] = next_entry;
-    for (size_t c = 0; c < beta_; ++c) {
-      const std::span<const VersionedHll::Entry> list = sketch->cell(c);
-      // u8 per-cell counts: an undominated list holds at most 64 entries
-      // (strictly ascending u8 ranks bounded by the hash width).
-      IPIN_CHECK_LE(list.size(), 64u);
-      counts[c] = static_cast<uint8_t>(list.size());
-      for (const VersionedHll::Entry& e : list) {
-        entry_ranks_[next_entry] = e.rank;
-        entry_times_[next_entry] = e.time;
-        ++next_entry;
-      }
-    }
+    IPIN_CHECK_EQ(sketch->precision(), precision_);
+    IPIN_CHECK_EQ(sketch->salt(), salt_);
+    slot_of_[u] = static_cast<uint32_t>(num_allocated_++);
+    slot_entry_base_.push_back(total_entries);
+    total_entries += sketch->NumEntries();
   }
-  slot_entry_base_[num_allocated_] = next_entry;
-  IPIN_CHECK_EQ(next_entry, total_entries);
+  slot_entry_base_.push_back(total_entries);
+  slot_entry_base_.shrink_to_fit();
+
+  rank_plane_.resize(num_nodes_ * beta_, 0);
+  cell_counts_.resize(num_allocated_ * beta_, 0);
+  entry_ranks_.resize(total_entries);
+  entry_times_.resize(total_entries);
+
+  // Pass 2 (parallel over nodes): pack. Every node writes only its own row,
+  // counts and entry range, so the arena is the same at any thread count.
+  // Entries keep their in-cell order (ascending time, strictly ascending
+  // rank — the vHLL invariant the kernels rely on).
+  // A grain of about 64K cells keeps the scheduling cost small at every
+  // precision.
+  const size_t grain = std::max<size_t>(1, (size_t{1} << 16) / beta_);
+  ParallelFor(0, num_nodes_, grain, [&](size_t lo, size_t hi) {
+    for (size_t u = lo; u < hi; ++u) {
+      const VersionedHll* sketch = sketches[u].get();
+      if (sketch == nullptr) continue;
+      const size_t s = slot_of_[u];
+      const std::span<const uint8_t> ranks = sketch->max_ranks();
+      std::memcpy(rank_plane_.data() + u * beta_, ranks.data(), beta_);
+      uint8_t* counts = cell_counts_.data() + s * beta_;
+      size_t next_entry = slot_entry_base_[s];
+      for (size_t c = 0; c < beta_; ++c) {
+        const std::span<const VersionedHll::Entry> list = sketch->cell(c);
+        // u8 per-cell counts: an undominated list holds at most 64 entries
+        // (strictly ascending u8 ranks bounded by the hash width).
+        IPIN_CHECK_LE(list.size(), 64u);
+        counts[c] = static_cast<uint8_t>(list.size());
+        for (const VersionedHll::Entry& e : list) {
+          entry_ranks_[next_entry] = e.rank;
+          entry_times_[next_entry] = e.time;
+          ++next_entry;
+        }
+      }
+      IPIN_CHECK_EQ(next_entry, slot_entry_base_[s + 1]);
+    }
+  });
 }
 
 size_t SketchArena::NodeNumEntries(NodeId u) const {

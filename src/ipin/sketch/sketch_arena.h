@@ -44,7 +44,8 @@ class SketchArena {
 
   /// Seals `sketches` (indexed by node id; null entries = absent node) into
   /// packed form. The arena copies everything out; callers free the source
-  /// sketches afterwards.
+  /// sketches afterwards. Nodes are packed in parallel on the global pool;
+  /// the arena is byte-identical at any thread count.
   SketchArena(int precision, uint64_t salt,
               std::span<const std::unique_ptr<VersionedHll>> sketches);
 
@@ -100,6 +101,21 @@ class SketchArena {
 
   /// Approximate heap footprint in bytes.
   size_t MemoryUsageBytes() const;
+
+  /// Read-only views of the packed arrays (differential tests of the
+  /// packing and of index loads).
+  struct Planes {
+    std::span<const uint8_t> rank_plane;
+    std::span<const uint32_t> slot_of;
+    std::span<const uint8_t> cell_counts;
+    std::span<const uint64_t> slot_entry_base;
+    std::span<const uint8_t> entry_ranks;
+    std::span<const int64_t> entry_times;
+  };
+  Planes planes() const {
+    return {rank_plane_,      slot_of_,     cell_counts_,
+            slot_entry_base_, entry_ranks_, entry_times_};
+  }
 
  private:
   template <typename T>

@@ -377,6 +377,13 @@ void VersionedHll::Serialize(std::string* out) const {
   }
 }
 
+size_t VersionedHll::SerializedBytes(size_t num_cells, size_t num_entries) {
+  // u8 version, u8 precision, u64 salt; a u32 count per cell; u8 rank and
+  // i64 time per entry.
+  return 2 + sizeof(uint64_t) + num_cells * sizeof(uint32_t) +
+         num_entries * (sizeof(uint8_t) + sizeof(int64_t));
+}
+
 std::optional<VersionedHll> VersionedHll::Deserialize(std::string_view data,
                                                       size_t* offset) {
   uint8_t version = 0;

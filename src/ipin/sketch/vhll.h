@@ -185,6 +185,10 @@ class VersionedHll {
   /// to *out. Little-endian, versioned; see vhll.cc for the layout.
   void Serialize(std::string* out) const;
 
+  /// Exact size of Serialize's output for a sketch with `num_cells` cells
+  /// and `num_entries` stored pairs (lets writers size buffers once).
+  static size_t SerializedBytes(size_t num_cells, size_t num_entries);
+
   /// Reads an encoding produced by Serialize from data starting at *offset,
   /// advancing *offset past it. Returns nullopt on truncation or corruption
   /// (including invariant violations and times outside the Entry range).

@@ -55,6 +55,21 @@ if [ "$OBS_MODE" = "obs-enabled" ]; then
     || fail "show missing the index teardown phase"
 fi
 
+# Opening an index has its own phases: the load (read, verify, parse) and
+# the seal into the query arena.
+"$CLI" topk --index="$WORK/a.bin" --k=3 --ledger_dir="$WORK/open_ledgers" \
+  > /dev/null 2>&1 || fail "topk on the built index failed"
+OPEN_LEDGERS=("$WORK"/open_ledgers/*.ipinrun)
+[[ ${#OPEN_LEDGERS[@]} -eq 1 ]] || fail "expected 1 topk ledger"
+"$RUNS" show "${OPEN_LEDGERS[0]}" > "$WORK/show_open.out" \
+  || fail "show of the topk ledger exited nonzero"
+if [ "$OBS_MODE" = "obs-enabled" ]; then
+  grep -q 'oracle_io.load' "$WORK/show_open.out" \
+    || fail "show missing the index load phase"
+  grep -q 'irs.approx.seal' "$WORK/show_open.out" \
+    || fail "show missing the seal phase"
+fi
+
 # --- diff ------------------------------------------------------------------
 # A ledger diffed against itself has zero deltas: exit 0.
 "$RUNS" diff "$A" "$A" > "$WORK/diff_same.out" \

@@ -10,6 +10,7 @@
 #include "ipin/common/failpoint.h"
 #include "ipin/common/logging.h"
 #include "ipin/common/random.h"
+#include "ipin/common/safe_io.h"
 #include "ipin/datasets/synthetic.h"
 #include "ipin/sketch/vhll.h"
 
@@ -65,6 +66,24 @@ TEST(VhllSerializeTest, RoundtripPreservesEverything) {
     for (size_t i = 0; i < a.size(); ++i) {
       EXPECT_EQ(a[i].rank, b[i].rank);
       EXPECT_EQ(a[i].time, b[i].time);
+    }
+  }
+}
+
+TEST(VhllSerializeTest, SerializedBytesIsExact) {
+  Rng rng(8);
+  for (const int precision : {4, 9, 12}) {
+    VersionedHll sketch(precision, 3);
+    for (int items : {0, 1, 700}) {
+      for (int i = 0; i < items; ++i) {
+        sketch.Add(rng.NextUint64(),
+                   static_cast<Timestamp>(rng.NextBounded(500)));
+      }
+      std::string blob;
+      sketch.Serialize(&blob);
+      EXPECT_EQ(blob.size(), VersionedHll::SerializedBytes(
+                                 sketch.num_cells(), sketch.NumEntries()))
+          << "precision " << precision << " entries " << sketch.NumEntries();
     }
   }
 }
@@ -279,6 +298,30 @@ TEST_F(OracleIoTest, LegacyFormatStillLoads) {
   EXPECT_EQ(result.index->window(), 123);
   ASSERT_TRUE(result.index->Sketch(1).valid());
   EXPECT_DOUBLE_EQ(result.index->EstimateIrsSize(1), sketch.Estimate());
+}
+
+// A header frame with valid checksums that claims 2^61 nodes and is
+// followed by nothing. Sizing the node table from that count throws
+// std::length_error and aborts the process; the load must say kCorrupt.
+TEST_F(OracleIoTest, HostileNodeCountIsCorruptNotACrash) {
+  std::string header;
+  const auto put = [&header](auto value) {
+    header.append(reinterpret_cast<const char*>(&value), sizeof(value));
+  };
+  put(int64_t{100});           // window
+  put(uint8_t{9});             // precision
+  put(uint64_t{0});            // salt
+  put(uint64_t{1} << 61);      // num_nodes
+  put(uint32_t{256});          // chunk_size
+  {
+    SafeFileWriter writer(path_, 0x58444949, 2);  // "IIDX", version 2
+    ASSERT_TRUE(writer.AppendFrame(header));
+    ASSERT_TRUE(writer.Commit());
+  }
+  ASSERT_EQ(ReadFileBytes().size(), 61u);
+  const IndexLoadResult result = LoadInfluenceIndexDetailed(path_);
+  EXPECT_EQ(result.status, IndexLoadStatus::kCorrupt);
+  EXPECT_FALSE(result.usable());
 }
 
 TEST_F(OracleIoTest, EmptyIndexRoundtrips) {

@@ -7,8 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include "ipin/common/crc32c_internal.h"
 #include "ipin/common/failpoint.h"
 #include "ipin/common/logging.h"
+#include "ipin/common/random.h"
 
 namespace ipin {
 namespace {
@@ -64,12 +66,51 @@ TEST(Crc32cTest, SeedChainsIncrementally) {
   EXPECT_EQ(whole, chained);
 }
 
+// The CRC32C instruction and the portable table must agree on every length,
+// start alignment and seed: files written on one machine are read on
+// another.
+TEST(Crc32cTest, HardwareMatchesPortable) {
+  const internal::Crc32cFn hardware = internal::Crc32cHardware();
+  if (hardware == nullptr) GTEST_SKIP() << "no CRC32C instruction here";
+  Rng rng(7);
+  std::string buffer(4096 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng.NextBounded(256));
+  for (int trial = 0; trial < 2000; ++trial) {
+    const size_t align = static_cast<size_t>(trial % 8);
+    const size_t size = rng.NextBounded(4097);
+    const auto seed = static_cast<uint32_t>(rng.NextUint64());
+    const char* data = buffer.data() + align;
+    ASSERT_EQ(hardware(data, size, seed),
+              internal::Crc32cPortable(data, size, seed))
+        << "size " << size << " align " << align << " seed " << seed;
+    // Chaining at a split point gives the one-shot checksum either way.
+    const size_t cut = rng.NextBounded(size + 1);
+    ASSERT_EQ(hardware(data + cut, size - cut, hardware(data, cut, seed)),
+              internal::Crc32cPortable(data, size, seed))
+        << "size " << size << " cut " << cut;
+  }
+  EXPECT_EQ(Crc32c(buffer), internal::Crc32cPortable(buffer.data(),
+                                                     buffer.size(), 0));
+}
+
+TEST_F(SafeIoTest, ReadFileBytesReadsWholeFile) {
+  std::string contents(300000, '\0');
+  for (size_t i = 0; i < contents.size(); ++i) {
+    contents[i] = static_cast<char>(i * 131 % 251);
+  }
+  WriteFileBytes(contents);
+  EXPECT_EQ(ipin::ReadFileBytes(path_), contents);
+  WriteFileBytes("");
+  EXPECT_EQ(ipin::ReadFileBytes(path_), "");
+  EXPECT_FALSE(ipin::ReadFileBytes(path_ + ".absent").has_value());
+}
+
 TEST_F(SafeIoTest, RoundtripMultipleFrames) {
   WriteFrames({"alpha", std::string(10000, 'x'), "", "omega"}, 7);
   SafeFileReader reader;
   ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
   EXPECT_EQ(reader.version(), 7u);
-  std::string payload;
+  std::string_view payload;
   ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
   EXPECT_EQ(payload, "alpha");
   ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
@@ -120,7 +161,7 @@ TEST_F(SafeIoTest, CorruptPayloadSkippedReaderContinues) {
 
   SafeFileReader reader;
   ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
-  std::string payload;
+  std::string_view payload;
   ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
   EXPECT_EQ(payload, "first");
   EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kCorrupt);
@@ -139,7 +180,7 @@ TEST_F(SafeIoTest, CorruptFrameHeaderEndsFile) {
 
   SafeFileReader reader;
   ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
-  std::string payload;
+  std::string_view payload;
   ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
   EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kCorrupt);
   EXPECT_FALSE(reader.CanContinue());
@@ -153,7 +194,7 @@ TEST_F(SafeIoTest, TruncationMidFrameDetected) {
 
   SafeFileReader reader;
   ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
-  std::string payload;
+  std::string_view payload;
   ASSERT_EQ(reader.ReadFrame(&payload), FrameStatus::kOk);
   EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kTruncated);
   EXPECT_FALSE(reader.CanContinue());
@@ -196,7 +237,7 @@ TEST_F(SafeIoTest, ShortWriteFailpointYieldsTruncatedFile) {
 
   SafeFileReader reader;
   ASSERT_EQ(reader.Open(path_, kType), SafeOpenStatus::kOk);
-  std::string payload;
+  std::string_view payload;
   EXPECT_EQ(reader.ReadFrame(&payload), FrameStatus::kTruncated);
 }
 

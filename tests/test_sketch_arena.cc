@@ -1,5 +1,6 @@
 #include "ipin/sketch/sketch_arena.h"
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -7,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "ipin/common/random.h"
+#include "ipin/common/thread_pool.h"
 #include "ipin/core/irs_approx.h"
 #include "ipin/core/source_sets.h"
 #include "ipin/graph/interaction_graph.h"
@@ -73,6 +75,69 @@ TEST(SketchArenaTest, RankPlaneAndCountsMatchSource) {
   EXPECT_EQ(arena.NumAllocated(), allocated);
   EXPECT_EQ(arena.TotalEntries(), entries);
   EXPECT_GT(arena.MemoryUsageBytes(), 0u);
+}
+
+// Sketches at `precision` with null gaps: every third node absent, plus one
+// run of absent nodes, and some present nodes left empty.
+std::vector<std::unique_ptr<VersionedHll>> GappySketches(int precision,
+                                                         size_t num_nodes,
+                                                         uint64_t seed) {
+  Rng rng(seed);
+  std::vector<std::unique_ptr<VersionedHll>> sketches(num_nodes);
+  for (size_t u = 0; u < num_nodes; ++u) {
+    if (u % 3 == 1 || (u >= num_nodes / 2 && u < num_nodes / 2 + 5)) continue;
+    sketches[u] = std::make_unique<VersionedHll>(precision, kSalt);
+    const size_t items = u % 7 == 0 ? 0 : rng.NextBounded(400);
+    for (size_t i = 0; i < items; ++i) {
+      sketches[u]->Add(rng.NextUint64(),
+                       static_cast<Timestamp>(rng.NextBounded(1000)));
+    }
+  }
+  return sketches;
+}
+
+SketchArena SealWithThreads(size_t threads, int precision,
+                            const std::vector<std::unique_ptr<VersionedHll>>&
+                                sketches) {
+  SetGlobalThreads(threads);
+  SketchArena arena(precision, kSalt, std::span(sketches));
+  SetGlobalThreads(0);
+  return arena;
+}
+
+void ExpectSamePlanes(const SketchArena& a, const SketchArena& b) {
+  const SketchArena::Planes pa = a.planes();
+  const SketchArena::Planes pb = b.planes();
+  EXPECT_TRUE(std::ranges::equal(pa.rank_plane, pb.rank_plane));
+  EXPECT_TRUE(std::ranges::equal(pa.slot_of, pb.slot_of));
+  EXPECT_TRUE(std::ranges::equal(pa.cell_counts, pb.cell_counts));
+  EXPECT_TRUE(std::ranges::equal(pa.slot_entry_base, pb.slot_entry_base));
+  EXPECT_TRUE(std::ranges::equal(pa.entry_ranks, pb.entry_ranks));
+  EXPECT_TRUE(std::ranges::equal(pa.entry_times, pb.entry_times));
+}
+
+// The seal packs nodes in parallel; at 1 and 4 threads every packed array
+// must come out byte-equal, at the smallest and largest precision and for
+// an empty index.
+TEST(SketchArenaTest, ParallelSealIsByteIdenticalToSequential) {
+  for (const auto& [precision, num_nodes] :
+       {std::pair{4, size_t{20000}}, std::pair{18, size_t{24}}}) {
+    const auto sketches = GappySketches(precision, num_nodes, 6);
+    const SketchArena sequential = SealWithThreads(1, precision, sketches);
+    const SketchArena parallel = SealWithThreads(4, precision, sketches);
+    EXPECT_GT(parallel.TotalEntries(), 0u);
+    ExpectSamePlanes(sequential, parallel);
+    for (NodeId u = 0; u < num_nodes; u += 97) {
+      EXPECT_TRUE(parallel.CheckNodeInvariants(u)) << "node " << u;
+    }
+  }
+  for (const size_t num_nodes : {size_t{0}, size_t{600}}) {
+    const std::vector<std::unique_ptr<VersionedHll>> empty(num_nodes);
+    const SketchArena sequential = SealWithThreads(1, 9, empty);
+    const SketchArena parallel = SealWithThreads(4, 9, empty);
+    EXPECT_EQ(parallel.NumAllocated(), 0u);
+    ExpectSamePlanes(sequential, parallel);
+  }
 }
 
 TEST(SketchArenaTest, EstimatesMatchSourceSketches) {

@@ -69,7 +69,6 @@
 #include <fstream>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -124,13 +123,9 @@ std::string Basename(const std::string& path) {
 
 /// "crc32c:%08x" over the file's raw bytes; nullopt when unreadable.
 std::optional<std::string> FileFingerprint(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return std::nullopt;
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  if (!in.good() && !in.eof()) return std::nullopt;
-  const std::string bytes = buf.str();
-  return StrFormat("crc32c:%08x", Crc32c(bytes.data(), bytes.size()));
+  const std::optional<std::string> bytes = ReadFileBytes(path);
+  if (!bytes.has_value()) return std::nullopt;
+  return StrFormat("crc32c:%08x", Crc32c(*bytes));
 }
 
 /// Resolves the on-disk path of old-map shard i: the map's index_file
