@@ -68,10 +68,11 @@ int Run(int argc, char** argv) {
   }
   structure.Print();
   std::printf(
-      "\nA: CELF and Algorithm 4 return identical seeds; compare their "
-      "evaluation counts.\nB: 'senders'/'nodes' is the fraction of sketches "
-      "lazy allocation actually materializes.\nC: 'entries' vs 'inserts' "
-      "shows what domination pruning keeps.\n\n");
+      "\nA: compare the evaluation counts of CELF and Algorithm 4 (equal "
+      "seeds for submodular oracles; sketch gains may diverge).\nB: "
+      "'senders'/'nodes' is the fraction of sketches lazy allocation "
+      "actually materializes.\nC: 'entries' vs 'inserts' shows what "
+      "domination pruning keeps.\n\n");
 
   // ---- D: model transfer ----------------------------------------------
   TablePrinter transfer("D — IRS seed quality under TCIC vs TCLT");

@@ -5,7 +5,6 @@
 #include <span>
 
 #include "ipin/common/check.h"
-#include "ipin/common/thread_pool.h"
 #include "ipin/obs/metrics.h"
 #include "ipin/obs/progress.h"
 #include "ipin/obs/trace.h"
@@ -38,60 +37,26 @@ SeedSelection SelectSeedsGreedy(const InfluenceOracle& oracle, size_t k) {
   std::vector<char> selected(n, 0);
   auto coverage = oracle.NewCoverage();
 
-  // Candidates are evaluated in parallel batches, then reduced strictly in
-  // scan order, replaying Algorithm 4's sequential rules: the early-exit
-  // bound is checked against the running best *before* consuming a gain,
-  // and gain_evaluations counts only consumed gains. Seeds, gains, and
-  // counts are therefore identical to the 1-thread scan; the only extra
-  // work is the tail of the batch the bound cuts off (counted separately
-  // as speculative evaluations).
-  const size_t threads = GlobalThreads();
-  const size_t batch_size = threads <= 1 ? 1 : std::max<size_t>(2 * threads, 16);
-  std::vector<NodeId> batch;
-  std::vector<double> batch_gains;
-  batch.reserve(batch_size);
-
   size_t early_exits = 0;
-  size_t speculative = 0;
   obs::ProgressPhase phase("im.greedy.rounds", k);
   while (result.seeds.size() < k) {
     double best_gain = 0.0;
     NodeId best_node = kInvalidNode;
-    size_t pos = 0;
-    bool round_done = false;
-    while (pos < n && !round_done) {
-      batch.clear();
-      while (pos < n && batch.size() < batch_size) {
-        const NodeId u = order[pos++];
-        if (!selected[u]) batch.push_back(u);
-      }
-      if (batch.empty()) break;
-      // Submodularity: marginal gain <= individual influence. The order is
-      // descending in influence, so once the best gain found beats the
-      // next candidate's individual influence no later candidate can win.
-      if (best_node != kInvalidNode && best_gain >= influence[batch[0]]) {
+    for (const NodeId u : order) {
+      if (selected[u]) continue;
+      // Lemma 8: the scan is descending in individual influence, so once
+      // the best gain found reaches the next candidate's influence no later
+      // candidate can win (for sketch gains this early exit defines the
+      // output rather than bounding it: see the header).
+      if (best_node != kInvalidNode && best_gain >= influence[u]) {
         ++early_exits;
         break;
       }
-      batch_gains.assign(batch.size(), 0.0);
-      ParallelFor(0, batch.size(), 1, [&](size_t lo, size_t hi) {
-        for (size_t b = lo; b < hi; ++b) {
-          batch_gains[b] = coverage->GainOf(batch[b]);
-        }
-      });
-      for (size_t b = 0; b < batch.size(); ++b) {
-        const NodeId u = batch[b];
-        if (best_node != kInvalidNode && best_gain >= influence[u]) {
-          ++early_exits;
-          speculative += batch.size() - b;
-          round_done = true;
-          break;
-        }
-        ++result.gain_evaluations;
-        if (batch_gains[b] > best_gain || best_node == kInvalidNode) {
-          best_gain = batch_gains[b];
-          best_node = u;
-        }
+      const double gain = coverage->GainOf(u);
+      ++result.gain_evaluations;
+      if (gain > best_gain || best_node == kInvalidNode) {
+        best_gain = gain;
+        best_node = u;
       }
     }
     if (best_node == kInvalidNode) break;  // all nodes selected
@@ -103,7 +68,6 @@ SeedSelection SelectSeedsGreedy(const InfluenceOracle& oracle, size_t k) {
   }
   result.total_coverage = coverage->Covered();
   IPIN_COUNTER_ADD("im.greedy.gain_evaluations", result.gain_evaluations);
-  IPIN_COUNTER_ADD("im.greedy.speculative_evaluations", speculative);
   IPIN_COUNTER_ADD("im.greedy.early_exits", early_exits);
   IPIN_COUNTER_ADD("im.greedy.seeds_selected", result.seeds.size());
   return result;

@@ -1,7 +1,5 @@
 #include "ipin/core/influence_oracle.h"
 
-#include <algorithm>
-
 #include "ipin/common/check.h"
 #include "ipin/common/thread_pool.h"
 #include "ipin/obs/metrics.h"
@@ -41,56 +39,6 @@ class ExactCoverage : public CoverageState {
  private:
   const IrsExact* irs_;
   std::unordered_set<NodeId> covered_;
-};
-
-// Coverage over vHLL sketches: the covered set is a plain rank vector
-// (cellwise max of committed sketches).
-class SketchCoverage : public CoverageState {
- public:
-  explicit SketchCoverage(const IrsApprox* irs)
-      : irs_(irs),
-        ranks_(static_cast<size_t>(1) << irs->options().precision, 0),
-        covered_(0.0) {}
-
-  double Covered() const override { return covered_; }
-
-  double GainOf(NodeId u) const override {
-    const SketchView sketch = irs_->Sketch(u);
-    if (!sketch) return 0.0;
-    // thread_local scratch instead of a per-call copy: GainOf is the inner
-    // loop of greedy/CELF and may be called concurrently by the parallel
-    // maximizer, which forbids a shared mutable member.
-    static thread_local std::vector<uint8_t> merged;
-    merged = ranks_;
-    kernels::CellwiseMaxU8(merged.data(), sketch.max_ranks().data(),
-                           merged.size());
-    const double with_u = EstimateOf(merged);
-    return std::max(0.0, with_u - covered_);
-  }
-
-  void Commit(NodeId u) override {
-    const SketchView sketch = irs_->Sketch(u);
-    if (!sketch) return;
-    kernels::CellwiseMaxU8(ranks_.data(), sketch.max_ranks().data(),
-                           ranks_.size());
-    covered_ = EstimateOf(ranks_);
-  }
-
- private:
-  static double EstimateOf(const std::vector<uint8_t>& ranks) {
-    bool any = false;
-    for (const uint8_t r : ranks) {
-      if (r != 0) {
-        any = true;
-        break;
-      }
-    }
-    return any ? EstimateFromRanks(ranks) : 0.0;
-  }
-
-  const IrsApprox* irs_;
-  std::vector<uint8_t> ranks_;
-  double covered_;
 };
 
 // Coverage over explicit sets.
@@ -222,7 +170,7 @@ BudgetedValue SketchInfluenceOracle::InfluenceOfSetBudgeted(
 }
 
 std::unique_ptr<CoverageState> SketchInfluenceOracle::NewCoverage() const {
-  return std::make_unique<SketchCoverage>(irs_);
+  return std::make_unique<SketchRowCoverage<IrsApprox>>(irs_);
 }
 
 SetCoverageOracle::SetCoverageOracle(std::vector<std::vector<NodeId>> sets)

@@ -10,6 +10,7 @@
 #include "ipin/core/irs_approx.h"
 #include "ipin/core/irs_exact.h"
 #include "ipin/graph/types.h"
+#include "ipin/sketch/rank_coverage.h"
 
 namespace ipin {
 
@@ -24,13 +25,36 @@ class CoverageState {
   virtual double Covered() const = 0;
 
   /// |covered union sigma(u)| - |covered| without modifying state.
-  /// Implementations must tolerate concurrent GainOf calls (the parallel
-  /// greedy rounds evaluate candidate gains from several threads between
-  /// Commits); Commit itself is never called concurrently with anything.
   virtual double GainOf(NodeId u) const = 0;
 
   /// Folds sigma(u) into the covered set.
   virtual void Commit(NodeId u) = 0;
+};
+
+/// Coverage over the max-rank rows of a sketch index (IrsApprox or
+/// SourceSetApprox: anything with Sketch(u) and options().precision).
+template <typename SketchIndex>
+class SketchRowCoverage : public CoverageState {
+ public:
+  /// `index` must outlive the coverage.
+  explicit SketchRowCoverage(const SketchIndex* index)
+      : index_(index), cover_(size_t{1} << index->options().precision) {}
+
+  double Covered() const override { return cover_.Covered(); }
+
+  double GainOf(NodeId u) const override {
+    const SketchView sketch = index_->Sketch(u);
+    return sketch ? cover_.Gain(sketch.max_ranks()) : 0.0;
+  }
+
+  void Commit(NodeId u) override {
+    const SketchView sketch = index_->Sketch(u);
+    if (sketch) cover_.Add(sketch.max_ranks());
+  }
+
+ private:
+  const SketchIndex* index_;
+  RankCoverage cover_;
 };
 
 /// Wall-clock budget for one oracle query, used by the serving layer to
@@ -68,7 +92,7 @@ class InfluenceOracle {
 
   /// |sigma(u)| (exact or estimated). Must be safe to call concurrently
   /// (every oracle here is read-only after construction) — InfluenceOfAll
-  /// and the greedy candidate scans fan it out across the global pool.
+  /// fans it out across the global pool.
   virtual double InfluenceOf(NodeId u) const = 0;
 
   /// {InfluenceOf(u) : u < num_nodes()}, evaluated in parallel on the

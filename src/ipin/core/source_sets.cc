@@ -4,7 +4,6 @@
 
 #include "ipin/common/check.h"
 #include "ipin/common/memory.h"
-#include "ipin/sketch/estimators.h"
 #include "ipin/sketch/kernels.h"
 
 namespace ipin {
@@ -210,54 +209,6 @@ size_t SourceSetApprox::MemoryUsageBytes() const {
   return bytes;
 }
 
-namespace {
-
-// Coverage over source-set sketches (mirror of IrsApprox's SketchCoverage).
-class SourceSetCoverage : public CoverageState {
- public:
-  explicit SourceSetCoverage(const SourceSetApprox* sets)
-      : sets_(sets),
-        ranks_(static_cast<size_t>(1) << sets->options().precision, 0),
-        covered_(0.0) {}
-
-  double Covered() const override { return covered_; }
-
-  double GainOf(NodeId v) const override {
-    const SketchView sketch = sets_->Sketch(v);
-    if (!sketch) return 0.0;
-    // thread_local scratch instead of a per-call copy: GainOf is the inner
-    // loop of greedy/CELF and may be called concurrently by the parallel
-    // maximizer, which forbids a shared mutable member.
-    static thread_local std::vector<uint8_t> merged;
-    merged = ranks_;
-    kernels::CellwiseMaxU8(merged.data(), sketch.max_ranks().data(),
-                           merged.size());
-    return std::max(0.0, EstimateOf(merged) - covered_);
-  }
-
-  void Commit(NodeId v) override {
-    const SketchView sketch = sets_->Sketch(v);
-    if (!sketch) return;
-    kernels::CellwiseMaxU8(ranks_.data(), sketch.max_ranks().data(),
-                           ranks_.size());
-    covered_ = EstimateOf(ranks_);
-  }
-
- private:
-  static double EstimateOf(const std::vector<uint8_t>& ranks) {
-    for (const uint8_t r : ranks) {
-      if (r != 0) return EstimateFromRanks(ranks);
-    }
-    return 0.0;
-  }
-
-  const SourceSetApprox* sets_;
-  std::vector<uint8_t> ranks_;
-  double covered_;
-};
-
-}  // namespace
-
 SourceSetOracle::SourceSetOracle(const SourceSetApprox* sets) : sets_(sets) {
   IPIN_CHECK(sets != nullptr);
 }
@@ -273,7 +224,7 @@ double SourceSetOracle::InfluenceOfSet(std::span<const NodeId> targets) const {
 }
 
 std::unique_ptr<CoverageState> SourceSetOracle::NewCoverage() const {
-  return std::make_unique<SourceSetCoverage>(sets_);
+  return std::make_unique<SketchRowCoverage<SourceSetApprox>>(sets_);
 }
 
 }  // namespace ipin

@@ -45,12 +45,10 @@ namespace {
 // argument for the one floating-point kernel.
 // ---------------------------------------------------------------------------
 
-constexpr size_t kHistBins = 256;
-
 struct Pow2NegTable {
-  double value[kHistBins];
+  double value[kRankHistogramBins];
   Pow2NegTable() {
-    for (size_t r = 0; r < kHistBins; ++r) {
+    for (size_t r = 0; r < kRankHistogramBins; ++r) {
       value[r] = std::ldexp(1.0, -static_cast<int>(r));
     }
   }
@@ -60,6 +58,8 @@ const Pow2NegTable& Pow2Neg() {
   static const Pow2NegTable table;
   return table;
 }
+
+}  // namespace
 
 // `bins` is an upper bound on the nonzero region (all ranks < bins): the
 // summation still visits exactly the nonzero bins in ascending order, so
@@ -82,6 +82,8 @@ double EstimateFromHistogram(const uint32_t* hist, size_t bins, size_t m) {
   return raw;
 }
 
+namespace {
+
 // ---------------------------------------------------------------------------
 // Scalar reference kernels.
 // ---------------------------------------------------------------------------
@@ -96,9 +98,9 @@ void CellwiseMaxU8Scalar(uint8_t* dst, const uint8_t* src, size_t n) {
 
 IPIN_NO_AUTOVEC
 double EstimateFromRanksScalar(const uint8_t* ranks, size_t n) {
-  uint32_t hist[kHistBins] = {0};
+  uint32_t hist[kRankHistogramBins] = {0};
   for (size_t i = 0; i < n; ++i) ++hist[ranks[i]];
-  return EstimateFromHistogram(hist, kHistBins, n);
+  return EstimateFromHistogram(hist, kRankHistogramBins, n);
 }
 
 // Shared fast histogram build for the SIMD targets. Rank data is geometric
@@ -110,7 +112,7 @@ double EstimateFromRanksScalar(const uint8_t* ranks, size_t n) {
 // that fixed cost is what would otherwise swamp small precisions. Integer
 // adds throughout: the merged histogram is exactly the scalar one.
 double EstimateInterleaved(const uint8_t* ranks, size_t n, size_t bins) {
-  uint32_t hist[8][kHistBins];
+  uint32_t hist[8][kRankHistogramBins];
   for (auto& h : hist) std::memset(h, 0, bins * sizeof(uint32_t));
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
@@ -130,6 +132,35 @@ double EstimateInterleaved(const uint8_t* ranks, size_t n, size_t bins) {
     for (int h = 1; h < 8; ++h) hist[0][r] += hist[h][r];
   }
   return EstimateFromHistogram(hist[0], bins, n);
+}
+
+// One raised cell of raise_histogram_u8: every target funnels its changed
+// cells through here, so the histogram update is the same integer moves.
+inline void RaiseCell(uint8_t from, uint8_t to, uint32_t* hist,
+                      size_t* bound) {
+  --hist[from];
+  ++hist[to];
+  *bound = std::max(*bound, static_cast<size_t>(to) + 1);
+}
+
+IPIN_NO_AUTOVEC
+size_t RaiseHistogramScalar(const uint8_t* covered, const uint8_t* row,
+                            size_t n, uint32_t* hist) {
+  size_t bound = 0;
+  for (size_t i = 0; i < n; ++i) {
+    if (row[i] > covered[i]) RaiseCell(covered[i], row[i], hist, &bound);
+  }
+  return bound;
+}
+
+// Raises the cells whose bits are set in `mask` (bit b = cell base + b).
+inline void RaiseMasked(uint64_t mask, const uint8_t* covered,
+                        const uint8_t* row, uint32_t* hist, size_t* bound) {
+  while (mask != 0) {
+    const int b = std::countr_zero(mask);
+    RaiseCell(covered[b], row[b], hist, bound);
+    mask &= mask - 1;
+  }
 }
 
 IPIN_NO_AUTOVEC
@@ -154,6 +185,7 @@ void BoundedMaxIntoScalar(const uint8_t* counts, const uint8_t* ranks,
 constexpr KernelOps kScalarOps = {
     &CellwiseMaxU8Scalar,
     &EstimateFromRanksScalar,
+    &RaiseHistogramScalar,
     &BoundedMaxIntoScalar,
 };
 
@@ -191,9 +223,34 @@ double EstimateFromRanksSse2(const uint8_t* ranks, size_t n) {
   return EstimateInterleaved(ranks, n, static_cast<size_t>(rmax) + 1);
 }
 
+// Bit i set iff row[i] > covered[i] over 16 cells. SSE2 has no unsigned
+// byte compare: row <= covered exactly where max(row, covered) == covered.
+inline unsigned RaisedMask16(const uint8_t* covered, const uint8_t* row) {
+  const __m128i c = _mm_loadu_si128(reinterpret_cast<const __m128i*>(covered));
+  const __m128i r = _mm_loadu_si128(reinterpret_cast<const __m128i*>(row));
+  const unsigned not_raised = static_cast<unsigned>(
+      _mm_movemask_epi8(_mm_cmpeq_epi8(_mm_max_epu8(r, c), c)));
+  return ~not_raised & 0xFFFFu;
+}
+
+size_t RaiseHistogramSse2(const uint8_t* covered, const uint8_t* row,
+                          size_t n, uint32_t* hist) {
+  size_t bound = 0;
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    RaiseMasked(RaisedMask16(covered + i, row + i), covered + i, row + i, hist,
+                &bound);
+  }
+  for (; i < n; ++i) {
+    if (row[i] > covered[i]) RaiseCell(covered[i], row[i], hist, &bound);
+  }
+  return bound;
+}
+
 constexpr KernelOps kSse2Ops = {
     &CellwiseMaxU8Sse2,
     &EstimateFromRanksSse2,
+    &RaiseHistogramSse2,
     // SSE2 has no packed 64-bit compare; the per-cell walk is short (<= 64
     // entries) and branchy, so the scalar routine is the right tool.
     &BoundedMaxIntoScalar,
@@ -290,9 +347,34 @@ __attribute__((target("avx2"))) void BoundedMaxIntoAvx2(
   }
 }
 
+__attribute__((target("avx2"))) size_t RaiseHistogramAvx2(
+    const uint8_t* covered, const uint8_t* row, size_t n, uint32_t* hist) {
+  size_t bound = 0;
+  size_t i = 0;
+  for (; i + 32 <= n; i += 32) {
+    const __m256i c =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(covered + i));
+    const __m256i r =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(row + i));
+    const uint32_t not_raised = static_cast<uint32_t>(
+        _mm256_movemask_epi8(_mm256_cmpeq_epi8(_mm256_max_epu8(r, c), c)));
+    RaiseMasked(~not_raised, covered + i, row + i, hist, &bound);
+  }
+  // Precision 4 rows (16 cells) are narrower than one AVX2 vector.
+  for (; i + 16 <= n; i += 16) {
+    RaiseMasked(RaisedMask16(covered + i, row + i), covered + i, row + i, hist,
+                &bound);
+  }
+  for (; i < n; ++i) {
+    if (row[i] > covered[i]) RaiseCell(covered[i], row[i], hist, &bound);
+  }
+  return bound;
+}
+
 constexpr KernelOps kAvx2Ops = {
     &CellwiseMaxU8Avx2,
     &EstimateFromRanksAvx2,
+    &RaiseHistogramAvx2,
     &BoundedMaxIntoAvx2,
 };
 
@@ -325,9 +407,32 @@ double EstimateFromRanksNeon(const uint8_t* ranks, size_t n) {
   return EstimateInterleaved(ranks, n, static_cast<size_t>(rmax) + 1);
 }
 
+size_t RaiseHistogramNeon(const uint8_t* covered, const uint8_t* row,
+                          size_t n, uint32_t* hist) {
+  size_t bound = 0;
+  size_t i = 0;
+  for (; i + 16 <= n; i += 16) {
+    const uint8x16_t raised = vcgtq_u8(vld1q_u8(row + i), vld1q_u8(covered + i));
+    // NEON has no movemask: narrow each 0x00/0xFF lane to a nibble, so
+    // cell b of the block owns bits [4b, 4b + 4) of the mask.
+    uint64_t nibbles = vget_lane_u64(
+        vreinterpret_u64_u8(vshrn_n_u16(vreinterpretq_u16_u8(raised), 4)), 0);
+    while (nibbles != 0) {
+      const int b = std::countr_zero(nibbles) >> 2;
+      RaiseCell(covered[i + b], row[i + b], hist, &bound);
+      nibbles &= ~(uint64_t{0xF} << (4 * b));
+    }
+  }
+  for (; i < n; ++i) {
+    if (row[i] > covered[i]) RaiseCell(covered[i], row[i], hist, &bound);
+  }
+  return bound;
+}
+
 constexpr KernelOps kNeonOps = {
     &CellwiseMaxU8Neon,
     &EstimateFromRanksNeon,
+    &RaiseHistogramNeon,
     &BoundedMaxIntoScalar,
 };
 

@@ -118,9 +118,9 @@ TEST_F(ParallelIrsTest, GreedySeedSelectionIsThreadCountInvariant) {
     EXPECT_DOUBLE_EQ(parallel.gains[i], sequential.gains[i]) << "pick " << i;
   }
   EXPECT_DOUBLE_EQ(parallel.total_coverage, sequential.total_coverage);
-  // Counted (non-speculative) evaluations replay Algorithm 4's early-exit
-  // trajectory exactly; extra in-flight batch work is tracked separately
-  // under im.greedy.speculative_evaluations.
+  // The scan itself is sequential; only InfluenceOfAll (the sort keys) runs
+  // on the pool, so the early-exit trajectory and its evaluation count
+  // must not move with the thread count.
   EXPECT_EQ(parallel.gain_evaluations, sequential.gain_evaluations);
 }
 

@@ -28,11 +28,13 @@ std::vector<ShardInfo> MakeShards(size_t n) {
   return shards;
 }
 
+#ifndef IPIN_OBS_DISABLED
 uint64_t RollbackCount() {
   return obs::MetricsRegistry::Global()
       .GetCounter("serve.shard.map.rollback")
       ->Value();
 }
+#endif
 
 TEST(ShardMapTest, OwnershipIsDeterministicAndCoversEveryNode) {
   const ShardMap a(MakeShards(3));
@@ -367,12 +369,16 @@ TEST_F(ShardMapManagerTest, CorruptMapRollsBackAndKeepsServing) {
   ASSERT_EQ(manager.Reload(), ReloadStatus::kOk);
   const auto before = manager.Current();
 
+#ifndef IPIN_OBS_DISABLED
   const uint64_t rollbacks = RollbackCount();
+#endif
   WriteMap("{\"schema\": \"ipin.shardmap.v1\", \"shards\": garbage");
   EXPECT_EQ(manager.Reload(), ReloadStatus::kRolledBack);
   EXPECT_EQ(manager.Epoch(), 1u);
   EXPECT_EQ(manager.Current(), before);
+#ifndef IPIN_OBS_DISABLED
   EXPECT_EQ(RollbackCount(), rollbacks + 1);
+#endif
 }
 
 // The robustness satellite: N consecutive corrupt reloads each roll back,
@@ -384,21 +390,27 @@ TEST_F(ShardMapManagerTest, RepeatedCorruptReloadsKeepOldEpochThenRecover) {
   ASSERT_EQ(manager.Reload(), ReloadStatus::kOk);
   const auto good = manager.Current();
 
+#ifndef IPIN_OBS_DISABLED
   const uint64_t rollbacks = RollbackCount();
+#endif
   constexpr int kAttempts = 5;
   for (int i = 0; i < kAttempts; ++i) {
     WriteMap("corrupt attempt " + std::to_string(i));
     EXPECT_EQ(manager.Reload(), ReloadStatus::kRolledBack);
     EXPECT_EQ(manager.Epoch(), 1u);
     EXPECT_EQ(manager.Current(), good);
+#ifndef IPIN_OBS_DISABLED
     EXPECT_EQ(RollbackCount(), rollbacks + static_cast<uint64_t>(i) + 1);
+#endif
   }
 
   WriteMap(ShardMap(MakeShards(4)).ToJson());
   EXPECT_EQ(manager.Reload(), ReloadStatus::kOk);
   EXPECT_EQ(manager.Epoch(), 2u);
   EXPECT_EQ(manager.Current()->num_shards(), 4u);
+#ifndef IPIN_OBS_DISABLED
   EXPECT_EQ(RollbackCount(), rollbacks + kAttempts);
+#endif
 }
 
 TEST_F(ShardMapManagerTest, FailpointForcesRollback) {

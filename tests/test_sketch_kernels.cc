@@ -1,13 +1,17 @@
 #include "ipin/sketch/kernels.h"
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ipin/common/random.h"
 #include "ipin/sketch/estimators.h"
+#include "ipin/sketch/rank_coverage.h"
 #include "ipin/sketch/vhll.h"
 
 namespace ipin {
@@ -180,6 +184,192 @@ TEST(SketchKernelsTest, BoundedMaxIntoRaggedLayouts) {
                                            times.data(), beta, ranks.size(),
                                            bound, got.data());
       ASSERT_EQ(got, want) << SimdTargetName(target) << " bound " << bound;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// raise_histogram_u8 and RankCoverage: the greedy marginal gain against the
+// materialized rule it replaces, max(0, estimate(max(cover, row)) -
+// estimate(cover)) with an all-zero row estimating 0.
+// ---------------------------------------------------------------------------
+
+std::vector<uint32_t> HistogramOf(const std::vector<uint8_t>& ranks) {
+  std::vector<uint32_t> hist(kernels::kRankHistogramBins, 0);
+  for (const uint8_t r : ranks) ++hist[r];
+  return hist;
+}
+
+double ReferenceEstimate(const std::vector<uint8_t>& ranks) {
+  const bool any = std::any_of(ranks.begin(), ranks.end(),
+                               [](uint8_t r) { return r != 0; });
+  return any ? Scalar().estimate_from_ranks(ranks.data(), ranks.size()) : 0.0;
+}
+
+bool SameBits(double a, double b) {
+  return std::memcmp(&a, &b, sizeof(double)) == 0;
+}
+
+// Whether the HLL estimate of `ranks` takes the linear-counting branch
+// (raw <= 2.5 m with an untouched cell); used only to prove that the fuzz
+// below reaches both branches.
+bool LinearCounting(const std::vector<uint8_t>& ranks) {
+  double inverse_sum = 0.0;
+  size_t zeros = 0;
+  for (const uint8_t r : ranks) {
+    inverse_sum += std::ldexp(1.0, -static_cast<int>(r));
+    zeros += r == 0 ? 1 : 0;
+  }
+  const double m = static_cast<double>(ranks.size());
+  return zeros > 0 && HllAlpha(ranks.size()) * m * m / inverse_sum <= 2.5 * m;
+}
+
+// Covers and candidate rows of every shape the gain must handle: empty,
+// sparse low ranks (linear counting), dense geometric ranks (raw
+// estimate), and outliers up to the top rank 255.
+enum class RowKind { kEmpty, kSparse, kDense, kExtreme };
+
+std::vector<uint8_t> MakeRow(RowKind kind, size_t m, Rng* rng) {
+  std::vector<uint8_t> row(m, 0);
+  switch (kind) {
+    case RowKind::kEmpty:
+      break;
+    case RowKind::kSparse:
+      for (int i = 0; i < 3; ++i) {
+        row[rng->NextBounded(m)] = static_cast<uint8_t>(1 + rng->NextBounded(3));
+      }
+      break;
+    case RowKind::kDense:
+      for (auto& r : row) {
+        r = static_cast<uint8_t>(
+            std::min(1 + std::countr_zero(rng->NextUint64() | (1ull << 40)),
+                     40));
+      }
+      break;
+    case RowKind::kExtreme:
+      for (auto& r : row) r = static_cast<uint8_t>(rng->NextBounded(256));
+      row[rng->NextBounded(m)] = 255;
+      break;
+  }
+  return row;
+}
+
+TEST(SketchKernelsTest, RaiseHistogramMatchesHistogramOfMaxFuzz) {
+  Rng rng(4242);
+  for (const SimdTarget target : RunnableTargets()) {
+    const KernelOps& ops = *KernelsFor(target);
+    for (int precision = 4; precision <= 18; ++precision) {
+      const size_t m = size_t{1} << precision;
+      for (const RowKind cover_kind : {RowKind::kEmpty, RowKind::kSparse,
+                                       RowKind::kDense, RowKind::kExtreme}) {
+        for (const RowKind row_kind : {RowKind::kEmpty, RowKind::kSparse,
+                                       RowKind::kDense, RowKind::kExtreme}) {
+          const std::vector<uint8_t> cover = MakeRow(cover_kind, m, &rng);
+          // Unaligned row: one byte into its buffer.
+          std::vector<uint8_t> buffer(m + 1);
+          const std::vector<uint8_t> row = MakeRow(row_kind, m, &rng);
+          std::copy(row.begin(), row.end(), buffer.begin() + 1);
+          std::vector<uint8_t> merged = cover;
+          size_t want_bound = 0;
+          for (size_t i = 0; i < m; ++i) {
+            if (row[i] > cover[i]) {
+              merged[i] = row[i];
+              want_bound = std::max<size_t>(want_bound, row[i] + size_t{1});
+            }
+          }
+          std::vector<uint32_t> hist = HistogramOf(cover);
+          const size_t bound =
+              ops.raise_histogram_u8(cover.data(), buffer.data() + 1, m,
+                                     hist.data());
+          ASSERT_EQ(hist, HistogramOf(merged))
+              << SimdTargetName(target) << " precision " << precision;
+          ASSERT_EQ(bound, want_bound)
+              << SimdTargetName(target) << " precision " << precision;
+        }
+      }
+    }
+  }
+}
+
+// The gain is bitwise the materialized rule's on every target, across
+// precisions 4-18 (16-cell rows are narrower than one vector), both
+// estimator regimes, ranks up to 255, and exact zeros for rows equal to or
+// dominated by the cover.
+TEST(SketchKernelsTest, RankCoverageGainBitIdenticalToMaterializedMax) {
+  Rng rng(8080);
+  size_t linear_counting = 0;
+  size_t raw_estimate = 0;
+  for (const SimdTarget target : RunnableTargets()) {
+    const KernelOps& ops = *KernelsFor(target);
+    for (int precision = 4; precision <= 18; ++precision) {
+      const size_t m = size_t{1} << precision;
+      for (const RowKind cover_kind : {RowKind::kEmpty, RowKind::kSparse,
+                                       RowKind::kDense, RowKind::kExtreme}) {
+        const std::vector<uint8_t> cover = MakeRow(cover_kind, m, &rng);
+        RankCoverage coverage(m, ops);
+        coverage.Add(cover);
+        const double covered = ReferenceEstimate(cover);
+        ASSERT_TRUE(SameBits(coverage.Covered(), covered))
+            << SimdTargetName(target) << " precision " << precision;
+        ASSERT_TRUE(std::equal(cover.begin(), cover.end(),
+                               coverage.ranks().begin()));
+
+        // Equal to and dominated by the cover: no cell rises, gain +0.0.
+        std::vector<uint8_t> dominated = cover;
+        for (auto& r : dominated) {
+          r = static_cast<uint8_t>(rng.NextBounded(size_t{r} + 1));
+        }
+        ASSERT_TRUE(SameBits(coverage.Gain(cover), 0.0))
+            << SimdTargetName(target) << " precision " << precision;
+        ASSERT_TRUE(SameBits(coverage.Gain(dominated), 0.0))
+            << SimdTargetName(target) << " precision " << precision;
+
+        for (const RowKind row_kind : {RowKind::kEmpty, RowKind::kSparse,
+                                       RowKind::kDense, RowKind::kExtreme}) {
+          const std::vector<uint8_t> row = MakeRow(row_kind, m, &rng);
+          std::vector<uint8_t> merged = cover;
+          Scalar().cellwise_max_u8(merged.data(), row.data(), m);
+          const double with_row = ReferenceEstimate(merged);
+          const double want = std::max(0.0, with_row - covered);
+          ASSERT_TRUE(SameBits(coverage.Gain(row), want))
+              << SimdTargetName(target) << " precision " << precision
+              << " got " << coverage.Gain(row) << " want " << want;
+          (LinearCounting(merged) ? linear_counting : raw_estimate) += 1;
+
+          // Folding the row in lands on the same state as a cover built
+          // from the materialized max.
+          RankCoverage grown(m, ops);
+          grown.Add(cover);
+          grown.Add(row);
+          ASSERT_TRUE(SameBits(grown.Covered(), with_row))
+              << SimdTargetName(target) << " precision " << precision;
+          ASSERT_TRUE(std::equal(merged.begin(), merged.end(),
+                                 grown.ranks().begin()));
+        }
+      }
+    }
+  }
+  EXPECT_GT(linear_counting, 0u);
+  EXPECT_GT(raw_estimate, 0u);
+}
+
+// Filling a cover's last untouched cell moves the estimate from linear
+// counting to the raw estimate, which reads lower: the materialized rule
+// clamps that negative difference to 0, and so must the delta gain.
+TEST(SketchKernelsTest, RankCoverageGainClampsEstimatorDropToZero) {
+  for (const SimdTarget target : RunnableTargets()) {
+    for (int precision = 4; precision <= 18; ++precision) {
+      const size_t m = size_t{1} << precision;
+      std::vector<uint8_t> cover(m, 1);
+      cover[0] = 0;
+      std::vector<uint8_t> row(m, 0);
+      row[0] = 1;
+      const std::vector<uint8_t> merged(m, 1);
+      ASSERT_LT(ReferenceEstimate(merged), ReferenceEstimate(cover));
+      RankCoverage coverage(m, *KernelsFor(target));
+      coverage.Add(cover);
+      ASSERT_TRUE(SameBits(coverage.Gain(row), 0.0))
+          << SimdTargetName(target) << " precision " << precision;
     }
   }
 }
