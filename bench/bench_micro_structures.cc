@@ -1,17 +1,14 @@
 // Micro-benchmarks for the extension structures: streaming source sets,
-// sliding-window neighborhood profiles, versioned bottom-k, temporal paths
-// and transforms (google-benchmark).
+// temporal paths, temporal PageRank and transforms (google-benchmark).
 
 #include <benchmark/benchmark.h>
 
 #include "ipin/baselines/temporal_pagerank.h"
 #include "ipin/common/random.h"
-#include "ipin/core/neighborhood_profile.h"
 #include "ipin/core/source_sets.h"
 #include "ipin/datasets/synthetic.h"
 #include "ipin/graph/temporal_paths.h"
 #include "ipin/graph/transforms.h"
-#include "ipin/sketch/versioned_bottom_k.h"
 
 namespace ipin {
 namespace {
@@ -44,37 +41,6 @@ BENCHMARK(BM_SourceSetApproxStream)
     ->Args({10000, 6})
     ->Args({10000, 9})
     ->Unit(benchmark::kMillisecond);
-
-void BM_WindowedProfileStream(benchmark::State& state) {
-  const InteractionGraph g = MakeGraph(5000);
-  ProfileOptions options;
-  options.max_distance = static_cast<int>(state.range(0));
-  options.window = g.WindowFromPercent(5.0);
-  IrsApproxOptions sketch_options;
-  sketch_options.precision = 6;
-  for (auto _ : state) {
-    WindowedProfileApprox profiles(g.num_nodes(), options, sketch_options);
-    for (const Interaction& e : g.interactions()) {
-      profiles.ProcessInteraction(e);
-    }
-    benchmark::DoNotOptimize(profiles.MemoryUsageBytes());
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(g.num_interactions()));
-}
-BENCHMARK(BM_WindowedProfileStream)->Arg(1)->Arg(2)->Arg(3)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_VersionedBottomKAdd(benchmark::State& state) {
-  VersionedBottomK sketch(static_cast<size_t>(state.range(0)));
-  Rng rng(3);
-  Timestamp t = 1LL << 40;
-  for (auto _ : state) {
-    sketch.Add(rng.NextUint64(), t--);
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_VersionedBottomKAdd)->Arg(64)->Arg(256)->Arg(512);
 
 void BM_EarliestArrival(benchmark::State& state) {
   const InteractionGraph g = MakeGraph(static_cast<size_t>(state.range(0)));

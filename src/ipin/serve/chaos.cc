@@ -624,7 +624,9 @@ ChaosDrillReport ChaosDrill::Run() {
   std::string leaked = "[";
   for (size_t i = 0; i < report.leaked_daemons.size(); ++i) {
     if (i > 0) leaked += ", ";
-    leaked += "\"" + JsonEscape(report.leaked_daemons[i]) + "\"";
+    leaked += "\"";
+    leaked += JsonEscape(report.leaked_daemons[i]);
+    leaked += "\"";
   }
   leaked += "]";
   LedgerLine(StrFormat(

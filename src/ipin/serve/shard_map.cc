@@ -61,7 +61,6 @@ bool Fail(std::string* error, std::string reason) {
 bool ParseEndpoint(const JsonValue& shard, const std::string& prefix,
                    ShardEndpoint* out, std::string* error) {
   *out = ShardEndpoint{};
-  out->tcp_host.clear();
   out->unix_socket_path = shard.FindString(prefix + "unix_socket", "");
   const JsonValue* port = shard.Find(prefix + "tcp_port");
   if (port != nullptr) {
@@ -71,8 +70,11 @@ bool ParseEndpoint(const JsonValue& shard, const std::string& prefix,
       return Fail(error, "bad " + prefix + "tcp_port");
     }
     out->tcp_port = static_cast<int>(port->number_value());
+    // Only a TCP endpoint has a host. Reading it for a unix socket would
+    // make endpoints that dial the same socket compare unequal, and ToJson
+    // (which drops the host) would then emit duplicates Parse rejects.
+    out->tcp_host = shard.FindString(prefix + "tcp_host", "127.0.0.1");
   }
-  out->tcp_host = shard.FindString(prefix + "tcp_host", "127.0.0.1");
   if (!out->unix_socket_path.empty() && out->tcp_port >= 0) {
     return Fail(error,
                 "shard endpoint must be unix_socket OR tcp_port, not both");

@@ -233,35 +233,6 @@ void VersionedHll::MergeAll(const VersionedHll& other) {
              &kept);
 }
 
-bool VersionedHll::MergeWithFloor(const VersionedHll& other, Timestamp floor,
-                                  Timestamp bound) {
-  IPIN_CHECK_EQ(precision_, other.precision_);
-  IPIN_CHECK_EQ(salt_, other.salt_);
-  IPIN_CHECK_LE(floor, kMaxEntryTime);
-  // Clamping lands every entry at or below the floor on the floor itself;
-  // reversing that run restores (time ascending, rank descending) order.
-  thread_local std::vector<Entry> clamped;
-  size_t kept = 0;
-  MergeCells(
-      other.NumEntries(),
-      [&](size_t c) {
-        const std::span<const Entry> list = other.cell(c);
-        clamped.clear();
-        size_t n = 0;
-        while (n < list.size() && list[n].time < bound) ++n;
-        size_t at_floor = 0;
-        while (at_floor < n && list[at_floor].time <= floor) ++at_floor;
-        for (size_t i = at_floor; i-- > 0;) {
-          clamped.push_back(MakeEntry(list[i].rank, floor));
-        }
-        clamped.insert(clamped.end(), list.begin() + at_floor,
-                       list.begin() + n);
-        return std::span<const Entry>(clamped);
-      },
-      &kept);
-  return kept > 0;
-}
-
 double VersionedHll::Estimate() const {
   return EstimateFromRanks({max_ranks_.data(), max_ranks_.size()});
 }

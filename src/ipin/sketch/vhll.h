@@ -56,8 +56,8 @@ class VersionedHll {
   /// time is a signed 56-bit field. Every timestamp entering a sketch is
   /// checked against [kMinEntryTime, kMaxEntryTime] (IPIN_CHECK, or a
   /// rejected Deserialize), never truncated. The range holds negated
-  /// timestamps (source sets, neighborhood profiles) as well as Unix time in
-  /// seconds, milliseconds or microseconds; the edge-list loader rejects
+  /// timestamps (source sets) as well as Unix time in seconds,
+  /// milliseconds or microseconds; the edge-list loader rejects
   /// times outside it (IsValidInteractionTime) before they get here.
   struct Entry {
     uint8_t rank : 8 = 0;
@@ -103,14 +103,6 @@ class VersionedHll {
   /// Unrestricted merge (all entries); used when unioning the final
   /// per-node sketches in the influence oracle.
   void MergeAll(const VersionedHll& other);
-
-  /// Merge for sliding-window neighborhood profiles (Kumar et al. 2015):
-  /// folds in entries of `other` with time < bound, CLAMPING each merged
-  /// timestamp to at least `floor` (in the negated-time encoding this caps
-  /// a path's freshness at the connecting edge's timestamp). Returns true
-  /// if the sketch changed. `floor` must not exceed kMaxEntryTime (checked).
-  bool MergeWithFloor(const VersionedHll& other, Timestamp floor,
-                      Timestamp bound);
 
   /// Estimated number of distinct items ever inserted. O(beta): reads the
   /// per-cell max-rank cache, not the entry lists.

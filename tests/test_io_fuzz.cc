@@ -13,7 +13,6 @@
 #include "ipin/core/oracle_io.h"
 #include "ipin/datasets/synthetic.h"
 #include "ipin/graph/graph_io.h"
-#include "ipin/sketch/versioned_bottom_k.h"
 #include "ipin/sketch/vhll.h"
 
 namespace ipin {
@@ -209,26 +208,6 @@ TEST(VhllFuzzTest, DeserializeSurvivesBitFlips) {
     corrupted[pos] = static_cast<char>(rng.NextUint64() & 0xff);
     size_t offset = 0;
     const auto result = VersionedHll::Deserialize(corrupted, &offset);
-    if (result.has_value()) {
-      EXPECT_TRUE(result->CheckInvariants());
-    }
-  }
-}
-
-TEST(BottomKFuzzTest, DeserializeSurvivesBitFlips) {
-  VersionedBottomK sketch(16, 3);
-  Rng rng(8);
-  for (int i = 0; i < 300; ++i) {
-    sketch.Add(rng.NextUint64(), static_cast<Timestamp>(rng.NextBounded(50)));
-  }
-  std::string blob;
-  sketch.Serialize(&blob);
-  for (int trial = 0; trial < 200; ++trial) {
-    std::string corrupted = blob;
-    const size_t pos = rng.NextBounded(corrupted.size());
-    corrupted[pos] = static_cast<char>(rng.NextUint64() & 0xff);
-    size_t offset = 0;
-    const auto result = VersionedBottomK::Deserialize(corrupted, &offset);
     if (result.has_value()) {
       EXPECT_TRUE(result->CheckInvariants());
     }

@@ -644,9 +644,9 @@ TEST_F(RouterTest, DoubleDispatchKeepsAnswersExactDuringReshard) {
   const auto done = client.Call(status, &error);
   ASSERT_TRUE(done.has_value()) << error;
   for (const auto& [name, value] : done->info) {
-    if (name == "in_transition") EXPECT_DOUBLE_EQ(value, 0.0);
-    if (name == "shards") EXPECT_DOUBLE_EQ(value, 3.0);
-    if (name == "prev_shards") EXPECT_DOUBLE_EQ(value, 0.0);
+    if (name == "in_transition") { EXPECT_DOUBLE_EQ(value, 0.0); }
+    if (name == "shards") { EXPECT_DOUBLE_EQ(value, 3.0); }
+    if (name == "prev_shards") { EXPECT_DOUBLE_EQ(value, 0.0); }
   }
 }
 
@@ -728,7 +728,7 @@ TEST_F(RouterTest, ReplicaFailoverKeepsShardAnswersExact) {
     const auto response = client.Query(shard0_seeds, QueryMode::kSketch);
     ASSERT_TRUE(response.has_value());
     EXPECT_EQ(response->status, StatusCode::kOk);
-    if (!response->degraded) EXPECT_DOUBLE_EQ(response->estimate, truth);
+    if (!response->degraded) { EXPECT_DOUBLE_EQ(response->estimate, truth); }
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
   }
   replica_server.Shutdown();

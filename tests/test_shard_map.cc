@@ -260,6 +260,29 @@ TEST(ShardMapV2Test, ParseRejectsNestedTransitionsAndBadReplicas) {
                       &error)
           .has_value());
   EXPECT_FALSE(error.empty());
+
+  // A unix-socket replica dials the same socket whatever tcp_host says, so
+  // a replica differing from another (or from the primary) only there is a
+  // duplicate.
+  error.clear();
+  EXPECT_FALSE(
+      ShardMap::Parse(R"({"schema":"ipin.shardmap.v2","shards":[)"
+                      R"({"name":"a","unix_socket":"/tmp/a.sock",)"
+                      R"("replicas":[{"unix_socket":"/tmp/r.sock",)"
+                      R"("tcp_host":"10.0.0.9"},)"
+                      R"({"unix_socket":"/tmp/r.sock"}]}]})",
+                      &error)
+          .has_value());
+  EXPECT_NE(error.find("duplicate replica"), std::string::npos) << error;
+  error.clear();
+  EXPECT_FALSE(
+      ShardMap::Parse(R"({"schema":"ipin.shardmap.v2","shards":[)"
+                      R"({"name":"a","unix_socket":"/tmp/a.sock",)"
+                      R"("tcp_host":"10.0.0.9",)"
+                      R"("replicas":[{"unix_socket":"/tmp/a.sock"}]}]})",
+                      &error)
+          .has_value());
+  EXPECT_NE(error.find("duplicates the primary"), std::string::npos) << error;
 }
 
 class ShardIndexTest : public ::testing::Test {

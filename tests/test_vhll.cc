@@ -291,51 +291,6 @@ TEST(VhllTest, MemoryGrowsWithEntries) {
 }
 
 
-TEST(VhllTest, MergeWithFloorClampsTimestamps) {
-  VersionedHll source(4);
-  source.AddEntry(0, 3, 10);
-  source.AddEntry(1, 2, 50);
-  source.AddEntry(2, 4, 90);
-  VersionedHll target(4);
-  // floor 40, bound 80: entry (0,3,10) clamps to time 40; (1,2,50) stays;
-  // (2,4,90) is filtered by the bound.
-  EXPECT_TRUE(target.MergeWithFloor(source, 40, 80));
-  ASSERT_EQ(target.cell(0).size(), 1u);
-  EXPECT_EQ(target.cell(0)[0].time, 40);
-  EXPECT_EQ(target.cell(0)[0].rank, 3);
-  ASSERT_EQ(target.cell(1).size(), 1u);
-  EXPECT_EQ(target.cell(1)[0].time, 50);
-  EXPECT_TRUE(target.cell(2).empty());
-  EXPECT_TRUE(target.CheckInvariants());
-}
-
-TEST(VhllTest, MergeWithFloorReportsNoChangeWhenDominated) {
-  VersionedHll source(4);
-  source.AddEntry(0, 2, 30);
-  VersionedHll target(4);
-  target.AddEntry(0, 5, 10);  // dominates anything with rank <= 5, t >= 10
-  EXPECT_FALSE(target.MergeWithFloor(source, 20, 100));
-  EXPECT_EQ(target.NumEntries(), 1u);
-}
-
-TEST(VhllTest, MergeWithFloorPreservesInvariantsUnderFuzz) {
-  Rng rng(77);
-  for (int trial = 0; trial < 15; ++trial) {
-    VersionedHll a(4);
-    VersionedHll b(4);
-    for (int i = 0; i < 150; ++i) {
-      a.AddEntry(rng.NextBounded(16), static_cast<uint8_t>(1 + rng.NextBounded(12)),
-                 static_cast<Timestamp>(rng.NextBounded(200)));
-      b.AddEntry(rng.NextBounded(16), static_cast<uint8_t>(1 + rng.NextBounded(12)),
-                 static_cast<Timestamp>(rng.NextBounded(200)));
-    }
-    const Timestamp floor = static_cast<Timestamp>(rng.NextBounded(100));
-    const Timestamp bound = floor + static_cast<Timestamp>(rng.NextBounded(150));
-    a.MergeWithFloor(b, floor, bound);
-    EXPECT_TRUE(a.CheckInvariants()) << "trial " << trial;
-  }
-}
-
 TEST(VhllTest, AddReturnsWhetherSketchChanged) {
   VersionedHll vhll(6);
   EXPECT_TRUE(vhll.Add(42, 10));
@@ -395,18 +350,6 @@ class ReferenceVhll {
     }
   }
 
-  bool MergeWithFloor(const ReferenceVhll& other, Timestamp floor,
-                      Timestamp bound) {
-    bool changed = false;
-    for (size_t c = 0; c < cells_.size(); ++c) {
-      for (const Pair& e : other.cells_[c]) {
-        if (e.time >= bound) break;
-        changed |= AddEntry(c, e.rank, std::max(e.time, floor));
-      }
-    }
-    return changed;
-  }
-
   const std::vector<Pair>& cell(size_t c) const { return cells_[c]; }
   size_t attempts() const { return attempts_; }
   size_t evictions() const { return evictions_; }
@@ -463,11 +406,10 @@ class ReferenceVhll {
   return ::testing::AssertionSuccess();
 }
 
-// Random AddEntry / MergeWindow / MergeAll / MergeWithFloor sequences over
-// three sketch pairs. Times come from a narrow range around `base`, so
-// equal-time ties are common and window bounds and floors often land
-// exactly on entry times; a negative base models the negated timestamps
-// source sets and neighborhood profiles feed the sketch.
+// Random AddEntry / MergeWindow / MergeAll sequences over three sketch
+// pairs. Times come from a narrow range around `base`, so equal-time ties
+// are common and window bounds often land exactly on entry times; a
+// negative base models the negated timestamps source sets feed the sketch.
 void RunDifferential(int precision, uint64_t seed, Timestamp base, int ops) {
   Rng rng(seed);
   const size_t beta = size_t{1} << precision;
@@ -502,27 +444,16 @@ void RunDifferential(int precision, uint64_t seed, Timestamp base, int ops) {
       const Timestamp t = time();
       ASSERT_EQ(sketches[i].AddEntry(c, rank, t), refs[i].AddEntry(c, rank, t))
           << "op " << op;
-    } else if (kind < 7) {
+    } else if (kind < 8) {
       const Duration window = 1 + static_cast<Duration>(rng.NextBounded(30));
       const Timestamp bound = rng.NextBernoulli(0.5)
                                   ? bound_on_entry(sketches[j])
                                   : time() + window;
       sketches[i].MergeWindow(sketches[j], bound - window, window);
       refs[i].MergeWindow(refs[j], bound - window, window);
-    } else if (kind < 8) {
+    } else {
       sketches[i].MergeAll(sketches[j]);
       refs[i].MergeAll(refs[j]);
-    } else {
-      const Timestamp floor = rng.NextBernoulli(0.5)
-                                  ? bound_on_entry(sketches[j])
-                                  : time();
-      const Timestamp bound =
-          rng.NextBernoulli(0.3)
-              ? bound_on_entry(sketches[j])
-              : floor + static_cast<Timestamp>(rng.NextBounded(40));
-      ASSERT_EQ(sketches[i].MergeWithFloor(sketches[j], floor, bound),
-                refs[i].MergeWithFloor(refs[j], floor, bound))
-          << "op " << op;
     }
     ASSERT_TRUE(SameAsReference(sketches[i], refs[i]))
         << "precision " << precision << " seed " << seed << " op " << op
@@ -571,11 +502,6 @@ TEST(VhllDeathTest, TimestampOutsideEntryRangeAborts) {
                "FitsEntryTime");
   EXPECT_DEATH(vhll.Add(42, VersionedHll::kMinEntryTime - 1),
                "FitsEntryTime");
-  VersionedHll other(4);
-  other.AddEntry(0, 1, 0);
-  EXPECT_DEATH(vhll.MergeWithFloor(other, VersionedHll::kMaxEntryTime + 1,
-                                   VersionedHll::kMaxEntryTime + 2),
-               "kMaxEntryTime");
 }
 
 class VhllAccuracyTest : public ::testing::TestWithParam<int> {};
