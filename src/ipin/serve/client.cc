@@ -54,8 +54,7 @@ bool ConnectWithTimeout(int fd, const sockaddr* addr, socklen_t len,
 
 OracleClient::OracleClient(ClientOptions options)
     : options_(std::move(options)),
-      rng_(options_.jitter_seed),
-      io_timeout_ms_(options_.io_timeout_ms) {}
+      rng_(options_.jitter_seed) {}
 
 OracleClient::~OracleClient() { Disconnect(); }
 
@@ -105,15 +104,10 @@ bool OracleClient::EnsureConnected(std::string* error) {
     if (fd >= 0) ::close(fd);
     return false;
   }
-  ApplyIoTimeout(fd, io_timeout_ms_);
+  ApplyIoTimeout(fd, options_.io_timeout_ms);
   fd_ = fd;
   read_buffer_.clear();
   return true;
-}
-
-void OracleClient::SetIoTimeout(int64_t io_timeout_ms) {
-  io_timeout_ms_ = std::max<int64_t>(1, io_timeout_ms);
-  if (fd_ >= 0) ApplyIoTimeout(fd_, io_timeout_ms_);
 }
 
 bool OracleClient::SendLine(const std::string& line) {

@@ -65,13 +65,6 @@ class OracleClient {
   /// Drops the pooled connection so the next Call dials afresh.
   void Disconnect();
 
-  /// Overrides options().io_timeout_ms from now on (applied to the pooled
-  /// connection immediately and to every future connect). The router uses
-  /// this to carve a per-leg timeout — and the shorter hedge timeout of a
-  /// first attempt — out of one request's deadline without rebuilding
-  /// clients. Values < 1 are clamped to 1.
-  void SetIoTimeout(int64_t io_timeout_ms);
-
   /// Transport attempts that failed and were retried (observability for
   /// tests and the bench harness).
   size_t retries() const { return retries_; }
@@ -88,8 +81,6 @@ class OracleClient {
 
   const ClientOptions options_;
   Rng rng_;
-  /// Current per-attempt I/O timeout (starts as options_.io_timeout_ms).
-  int64_t io_timeout_ms_;
   int fd_ = -1;
   std::string read_buffer_;
   int64_t next_id_ = 1;

@@ -16,13 +16,15 @@
 // Transport: a byte stream (Unix-domain or localhost TCP socket). Each
 // request and each response is exactly one JSON object on one line,
 // terminated by '\n' (newline-delimited JSON). A connection may pipeline
-// requests, but responses carry NO ordering guarantee: queries are fanned
-// out to a worker pool and complete in evaluation order, and health/stats
-// answers (plus shed/drain rejections) jump the queue by design. A client
-// with more than one request in flight MUST assign each a unique "id" and
-// correlate responses by the echoed id; the ids of concurrent requests on
-// one connection must not collide (the default id 0 is only safe for
-// strictly one-at-a-time use).
+// requests, but responses carry NO ordering guarantee: exact, topk and
+// large queries are handed to a worker pool and complete in evaluation
+// order, routed queries complete when their last shard leg lands, and
+// inline answers (health/stats, small sketch queries, shed/drain
+// rejections) jump the queue by design. A client with more than one
+// request in flight MUST assign each a unique "id" and correlate responses
+// by the echoed id; the ids of concurrent requests on one connection must
+// not collide (the default id 0 is only safe for strictly one-at-a-time
+// use).
 //
 // Request object:
 //   {"id": 7,                  // echoed back; any int64 (default 0)
@@ -67,12 +69,12 @@
 //           |sigma(u)|, answered from the vHLL index, sorted by estimate
 //           descending (ties broken by ascending node id, so shard partials
 //           merge deterministically). Response carries "topk".
-//   health  cheap liveness probe, answered inline by the connection reader
+//   health  cheap liveness probe, answered inline by the event loop
 //           (never queued, so it works even when the queue is full).
-//   stats   server gauges (queue depth, epoch, workers, ...) in "info",
-//           including windowed rates/latencies (win_qps, win_p99_us, ...)
-//           over the server's stats window when observability is compiled
-//           in.
+//   stats   server gauges (queue depth, epoch, workers, loops, inflight,
+//           ...) in "info", including windowed rates/latencies (win_qps,
+//           win_p99_us, ...) over the server's stats window when
+//           observability is compiled in.
 //   reload  ask the server to reload its index file now (also triggered by
 //           the background reloader); answers after the attempt with
 //           "info": {"epoch": ..., "rolled_back": 0|1}.

@@ -8,7 +8,7 @@
 #include <utility>
 
 // Bounded MPMC request queue — the admission-control point of the serving
-// layer. Producers (connection readers) use the non-blocking TryPush and
+// layer. Producers (event loops) use the non-blocking TryPush and
 // turn a rejection into an OVERLOADED response (load shedding); consumers
 // (workers) block in Pop. The queue never grows past its capacity, so the
 // serve.queue.depth gauge is bounded by construction.

@@ -1,14 +1,7 @@
 #include "ipin/serve/router.h"
 
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
+#include <unordered_map>
 
 #include "ipin/common/failpoint.h"
 #include "ipin/common/logging.h"
@@ -21,8 +14,6 @@
 namespace ipin::serve {
 namespace {
 
-constexpr size_t kMaxLineBytes = 1 << 20;
-
 int64_t ToMicros(std::chrono::steady_clock::duration d) {
   return std::chrono::duration_cast<std::chrono::microseconds>(d).count();
 }
@@ -33,54 +24,9 @@ int64_t MillisUntil(std::chrono::steady_clock::time_point deadline) {
       .count();
 }
 
-void SetSendTimeout(int fd, int64_t timeout_ms) {
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+void Reply(Connection& conn, const Response& response) {
+  conn.Send(SerializeResponse(response));
 }
-
-// Same bounded write as server.cc: SO_SNDTIMEO bounds each send(), the
-// elapsed check bounds the whole response against a drip-feeding peer.
-bool WriteAll(int fd, const std::string& data, int64_t timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + written, data.size() - written,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        IPIN_COUNTER_ADD("serve.write.timeouts", 1);
-      }
-      return false;
-    }
-    written += static_cast<size_t>(n);
-    if (written < data.size() && std::chrono::steady_clock::now() >= deadline) {
-      IPIN_COUNTER_ADD("serve.write.timeouts", 1);
-      return false;
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
-struct RouterServer::Connection {
-  explicit Connection(int fd) : fd(fd) {}
-  ~Connection() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  const int fd;
-  std::mutex write_mu;
-  std::string read_buffer;
-  std::atomic<bool> broken{false};
-  std::atomic<bool> reader_done{false};
-};
-
-namespace {
 
 // Per-shard endpoint count (primary + replicas) for the health tracker.
 std::vector<size_t> EndpointCounts(const ShardMap& map) {
@@ -91,7 +37,80 @@ std::vector<size_t> EndpointCounts(const ShardMap& map) {
   return counts;
 }
 
+std::string EndpointKey(const ShardEndpoint& endpoint, bool hedged) {
+  std::string key = !endpoint.unix_socket_path.empty()
+                        ? endpoint.unix_socket_path
+                        : StrFormat("%s:%d", endpoint.tcp_host.c_str(),
+                                    endpoint.tcp_port);
+  // Hedged retries ride a connection of their own, so a straggling stream
+  // cannot hold the retry up behind it.
+  if (hedged) key += "#hedge";
+  return key;
+}
+
 }  // namespace
+
+struct RouterServer::Routed {
+  struct Leg {
+    size_t shard = 0;
+    /// Targets the previous-epoch fleet (fallback leg of a double
+    /// dispatch).
+    bool prev = false;
+    /// Positions in request.seeds this leg carries (coverage accounting —
+    /// overlapping legs must not double-count a seed).
+    std::vector<size_t> seed_idx;
+    Request request;
+
+    Clock::time_point start{};
+    /// When the current attempt was written, and when it is given up on.
+    Clock::time_point written{};
+    Clock::time_point deadline{};
+    size_t endpoint = 0;
+    /// The first attempt is capped at hedge_after_ms; one retry is left.
+    bool hedge = false;
+    /// Wire id of the attempt in flight; 0 = none.
+    int64_t wire_id = 0;
+    int64_t wire_us = 0;
+    bool done = false;
+    /// The usable partial (OK or BAD_REQUEST); empty if the leg failed.
+    std::optional<Response> result;
+    std::string error;
+  };
+
+  std::shared_ptr<Connection> client;
+  Request request;
+  Clock::time_point received{};
+  Clock::time_point deadline{};
+  Clock::time_point leg_deadline{};
+  Clock::time_point route_start{};
+  int64_t admission_us = 0;
+  std::shared_ptr<ShardFleet> fleet;
+  std::vector<Leg> legs;
+  /// topk: legs on the new epoch's fleet (the rest target the previous).
+  size_t num_new_legs = 0;
+  size_t pending = 0;
+  /// Set while a caller walks the legs: Finish waits until it is done.
+  bool held = false;
+  EventLoop::TimerId timer = 0;
+  Clock::time_point timer_at{};
+  /// Set when the answer needs no merge (no fleet, no legs, drain cut).
+  std::optional<Response> answer;
+};
+
+struct RouterServer::LoopState {
+  std::shared_ptr<EventLoop> loop;
+  /// Persistent pipelined shard connections, by endpoint key.
+  std::unordered_map<std::string, std::shared_ptr<Connection>> shards;
+  struct Wire {
+    Routed* routed;
+    size_t leg;
+    const Connection* conn;
+  };
+  /// Leg attempts in flight, by wire id.
+  std::unordered_map<int64_t, Wire> wire;
+  int64_t next_wire_id = 1;
+  std::unordered_map<const Routed*, std::unique_ptr<Routed>> routed;
+};
 
 RouterServer::ShardFleet::ShardFleet(std::shared_ptr<const ShardMap> map,
                                      uint64_t epoch,
@@ -100,76 +119,43 @@ RouterServer::ShardFleet::ShardFleet(std::shared_ptr<const ShardMap> map,
       epoch(epoch),
       options(options),
       health(EndpointCounts(*this->map), options.health) {
-  const auto build_pools = [](const ShardMap& m) {
-    std::vector<std::vector<std::unique_ptr<Pool>>> built(m.num_shards());
-    for (size_t i = 0; i < m.num_shards(); ++i) {
-      built[i].resize(1 + m.shard(i).replicas.size());
-      for (auto& pool : built[i]) pool = std::make_unique<Pool>();
-    }
-    return built;
-  };
-  pools = build_pools(*this->map);
   if (this->map->InTransition()) {
     prev_health = std::make_unique<ShardHealthTracker>(
         EndpointCounts(*this->map->previous()), options.health);
-    prev_pools = build_pools(*this->map->previous());
   }
+}
+
+const ShardEndpoint& RouterServer::ShardFleet::Endpoint(
+    bool prev, size_t shard, size_t endpoint, bool prefer_mirror) const {
+  const ShardInfo& info = SideMap(prev).shard(shard);
+  if (prefer_mirror && info.mirror.valid()) return info.mirror;
+  if (endpoint >= 1 && endpoint <= info.replicas.size()) {
+    return info.replicas[endpoint - 1];
+  }
+  return info.endpoint;
 }
 
 std::unique_ptr<OracleClient> RouterServer::ShardFleet::NewClient(
-    bool prev, size_t shard, size_t endpoint, bool prefer_mirror) const {
-  const ShardInfo& info = SideMap(prev).shard(shard);
-  const ShardEndpoint* ep = &info.endpoint;
-  if (prefer_mirror && info.mirror.valid()) {
-    ep = &info.mirror;
-  } else if (endpoint >= 1 && endpoint <= info.replicas.size()) {
-    ep = &info.replicas[endpoint - 1];
-  }
+    bool prev, size_t shard, size_t endpoint, int64_t io_timeout_ms) const {
+  const ShardEndpoint& ep =
+      Endpoint(prev, shard, endpoint, /*prefer_mirror=*/false);
   ClientOptions client_options;
-  client_options.unix_socket_path = ep->unix_socket_path;
-  client_options.tcp_host = ep->tcp_host;
-  client_options.tcp_port = ep->tcp_port;
+  client_options.unix_socket_path = ep.unix_socket_path;
+  client_options.tcp_host = ep.tcp_host;
+  client_options.tcp_port = ep.tcp_port;
   client_options.connect_timeout_ms = options.connect_timeout_ms;
-  // The router owns the retry policy (hedging + the next request's fresh
-  // fan-out); a leg client must fail fast, not add its own backoff loop.
+  client_options.io_timeout_ms = io_timeout_ms;
+  // The router owns the retry policy; a probe must fail fast, not add its
+  // own backoff loop.
   client_options.max_attempts = 1;
   return std::make_unique<OracleClient>(client_options);
-}
-
-std::unique_ptr<OracleClient> RouterServer::ShardFleet::Borrow(
-    bool prev, size_t shard, size_t endpoint) {
-  auto& side = prev ? prev_pools : pools;
-  if (endpoint < side[shard].size()) {
-    Pool& pool = *side[shard][endpoint];
-    std::lock_guard<std::mutex> lock(pool.mu);
-    if (!pool.idle.empty()) {
-      auto client = std::move(pool.idle.back());
-      pool.idle.pop_back();
-      return client;
-    }
-  }
-  return NewClient(prev, shard, endpoint, /*prefer_mirror=*/false);
-}
-
-void RouterServer::ShardFleet::Return(bool prev, size_t shard, size_t endpoint,
-                                      std::unique_ptr<OracleClient> client) {
-  constexpr size_t kMaxIdlePerShard = 8;
-  auto& side = prev ? prev_pools : pools;
-  if (endpoint >= side[shard].size()) return;
-  Pool& pool = *side[shard][endpoint];
-  std::lock_guard<std::mutex> lock(pool.mu);
-  if (pool.idle.size() < kMaxIdlePerShard) {
-    pool.idle.push_back(std::move(client));
-  }
 }
 
 RouterServer::RouterServer(ShardMapManager* map, RouterOptions options)
     : map_(map),
       options_(std::move(options)),
-      queue_(options_.queue_capacity),
-      flight_(std::make_shared<FlightRecorder>(options_.flight_recorder_size,
-                                               options_.flight_slow_size,
-                                               options_.slow_query_us)),
+      flight_(options_.flight_recorder_size, options_.flight_slow_size,
+              options_.slow_query_us),
       window_(obs::WindowedAggregatorOptions{
           /*sample_period_ms=*/1000,
           /*num_buckets=*/std::max<size_t>(
@@ -180,73 +166,32 @@ RouterServer::~RouterServer() { Shutdown(); }
 
 bool RouterServer::Start() {
   if (running_.load(std::memory_order_acquire)) return true;
-  const bool unix_mode = !options_.unix_socket_path.empty();
-  if (unix_mode == (options_.tcp_port >= 0)) {
-    LogError("route: set exactly one of unix_socket_path / tcp_port");
-    return false;
-  }
-
-  if (unix_mode) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (options_.unix_socket_path.size() >= sizeof(addr.sun_path)) {
-      LogError("route: socket path too long: " + options_.unix_socket_path);
-      return false;
-    }
-    std::strncpy(addr.sun_path, options_.unix_socket_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) {
-      LogError(StrFormat("route: socket(): %s", std::strerror(errno)));
-      return false;
-    }
-    ::unlink(options_.unix_socket_path.c_str());
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      LogError(StrFormat("route: bind(%s): %s",
-                         options_.unix_socket_path.c_str(),
-                         std::strerror(errno)));
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return false;
-    }
-  } else {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) {
-      LogError(StrFormat("route: socket(): %s", std::strerror(errno)));
-      return false;
-    }
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(options_.tcp_port));
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      LogError(StrFormat("route: bind(127.0.0.1:%d): %s", options_.tcp_port,
-                         std::strerror(errno)));
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return false;
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                      &len) == 0) {
-      bound_port_ = ntohs(bound.sin_port);
-    }
-  }
-
-  if (::listen(listen_fd_, 128) != 0) {
-    LogError(StrFormat("route: listen(): %s", std::strerror(errno)));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-
-  running_.store(true, std::memory_order_release);
   draining_.store(false, std::memory_order_release);
+  const size_t num_loops =
+      static_cast<size_t>(std::max(1, options_.num_workers));
+  loops_.clear();
+  for (size_t i = 0; i < num_loops; ++i) {
+    loops_.push_back(std::make_unique<LoopState>());
+  }
+  EventServerOptions net_options;
+  net_options.unix_socket_path = options_.unix_socket_path;
+  net_options.tcp_port = options_.tcp_port;
+  net_options.num_loops = static_cast<int>(num_loops);
+  net_options.max_connections = options_.max_connections;
+  net_options.write_timeout_ms = options_.write_timeout_ms;
+  net_options.retry_after_ms = options_.retry_after_ms;
+  net_options.log_tag = "route";
+  net_ = std::make_unique<EventServer>(
+      net_options,
+      [this](const std::shared_ptr<Connection>& conn, std::string_view line) {
+        HandleLine(conn, line);
+      });
+  if (!net_->Start()) {
+    net_.reset();
+    return false;
+  }
+  bound_port_ = net_->bound_port();
+  running_.store(true, std::memory_order_release);
 
 #ifndef IPIN_OBS_DISABLED
   window_.Start();
@@ -257,17 +202,11 @@ bool RouterServer::Start() {
     probe_stop_ = false;
   }
   prober_ = std::thread([this] { ProbeLoop(); });
-  acceptor_ = std::thread([this] { AcceptLoop(); });
-  worker_pool_ =
-      std::make_unique<ThreadPool>(static_cast<size_t>(options_.num_workers));
-  for (int i = 0; i < options_.num_workers; ++i) {
-    worker_pool_->Submit([this] { WorkerLoop(); });
-  }
-  LogInfo(StrFormat(
-      "route: listening on %s (%d workers, queue %zu)",
-      unix_mode ? options_.unix_socket_path.c_str()
-                : StrFormat("127.0.0.1:%d", bound_port_).c_str(),
-      options_.num_workers, options_.queue_capacity));
+  LogInfo(StrFormat("route: listening on %s (%zu loops, %zu in flight max)",
+                    !options_.unix_socket_path.empty()
+                        ? options_.unix_socket_path.c_str()
+                        : StrFormat("127.0.0.1:%d", bound_port_).c_str(),
+                    num_loops, options_.queue_capacity));
   return true;
 }
 
@@ -293,114 +232,33 @@ std::vector<ShardState> RouterServer::ShardHealth() const {
   return fleet_->health.Snapshot();
 }
 
-void RouterServer::AcceptLoop() {
-  while (running_.load(std::memory_order_acquire) &&
-         !draining_.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready <= 0) {
-      ReapFinishedReaders();
-      continue;
-    }
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;
-    }
-    if (IPIN_FAILPOINT("serve.accept").fail) {
-      IPIN_COUNTER_ADD("serve.accept.failures", 1);
-      ::close(fd);
-      continue;
-    }
-    SetSendTimeout(fd, options_.write_timeout_ms);
-    auto conn = std::make_shared<Connection>(fd);
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      if (active_connections_ >= options_.max_connections) {
-        Response reject;
-        reject.status = StatusCode::kOverloaded;
-        reject.retry_after_ms = options_.retry_after_ms;
-        reject.error = "connection limit reached";
-        IPIN_COUNTER_ADD("serve.requests.shed", 1);
-        WriteResponse(conn, reject, options_.write_timeout_ms);
-        continue;
-      }
-      ++active_connections_;
-      IPIN_GAUGE_SET("serve.connections.active", active_connections_);
-      readers_.push_back(ReaderSlot{
-          std::thread([this, conn] { ReadLoop(conn); }), conn});
-    }
-    ReapFinishedReaders();
-  }
+RouterServer::LoopState& RouterServer::State(const Connection& conn) {
+  LoopState& state = *loops_[conn.loop().index()];
+  if (state.loop == nullptr) state.loop = net_->loop(conn.loop().index());
+  return state;
 }
 
-void RouterServer::ReapFinishedReaders() {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (size_t i = 0; i < readers_.size();) {
-    if (readers_[i].conn->reader_done.load(std::memory_order_acquire)) {
-      readers_[i].thread.join();
-      readers_[i] = std::move(readers_.back());
-      readers_.pop_back();
-    } else {
-      ++i;
-    }
+void RouterServer::HandleLine(const std::shared_ptr<Connection>& conn,
+                              std::string_view line) {
+  const Clock::time_point received = Clock::now();
+  std::string parse_error;
+  int64_t id = 0;
+  auto request = ParseRequest(line, &parse_error, &id);
+  if (!request.has_value()) {
+    Response bad;
+    bad.id = id;
+    bad.status = StatusCode::kBadRequest;
+    bad.error = parse_error;
+    IPIN_COUNTER_ADD("serve.requests.bad", 1);
+    Reply(*conn, bad);
+    return;
   }
-}
-
-void RouterServer::ReadLoop(std::shared_ptr<Connection> conn) {
-  std::string line;
-  while (true) {
-    size_t newline;
-    while ((newline = conn->read_buffer.find('\n')) == std::string::npos) {
-      char chunk[4096];
-      const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-      if (n == 0) goto done;
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        goto done;
-      }
-      conn->read_buffer.append(chunk, static_cast<size_t>(n));
-      if (conn->read_buffer.size() > kMaxLineBytes) {
-        LogWarning("route: dropping connection with oversized request line");
-        goto done;
-      }
-    }
-    line.assign(conn->read_buffer, 0, newline);
-    conn->read_buffer.erase(0, newline + 1);
-
-    if (IPIN_FAILPOINT("serve.read").fail) {
-      IPIN_COUNTER_ADD("serve.read.failures", 1);
-      goto done;
-    }
-    if (line.empty()) continue;
-
-    std::string parse_error;
-    int64_t id = 0;
-    auto request = ParseRequest(line, &parse_error, &id);
-    if (!request.has_value()) {
-      Response bad;
-      bad.id = id;
-      bad.status = StatusCode::kBadRequest;
-      bad.error = parse_error;
-      IPIN_COUNTER_ADD("serve.requests.bad", 1);
-      WriteResponse(conn, bad, options_.write_timeout_ms);
-      continue;
-    }
-    HandleRequest(conn, std::move(*request));
-    if (conn->broken.load(std::memory_order_acquire)) break;
-  }
-done:
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    --active_connections_;
-    IPIN_GAUGE_SET("serve.connections.active", active_connections_);
-  }
-  conn->reader_done.store(true, std::memory_order_release);
+  HandleRequest(conn, std::move(*request), received);
 }
 
 void RouterServer::HandleRequest(const std::shared_ptr<Connection>& conn,
-                                 Request&& request) {
-  const Clock::time_point now = Clock::now();
+                                 Request&& request,
+                                 Clock::time_point received) {
   switch (request.method) {
     case Method::kHealth: {
       IPIN_LATENCY_SCOPE("serve.latency.health_us");
@@ -410,12 +268,12 @@ void RouterServer::HandleRequest(const std::shared_ptr<Connection>& conn,
       response.epoch = map_->Epoch();
       response.status = response.epoch > 0 ? StatusCode::kOk
                                            : StatusCode::kUnavailable;
-      WriteResponse(conn, response, options_.write_timeout_ms);
+      Reply(*conn, response);
       return;
     }
     case Method::kStats: {
       IPIN_LATENCY_SCOPE("serve.latency.stats_us");
-      WriteResponse(conn, StatsResponse(request), options_.write_timeout_ms);
+      Reply(*conn, StatsResponse(request));
       return;
     }
     case Method::kMetrics: {
@@ -430,7 +288,7 @@ void RouterServer::HandleRequest(const std::shared_ptr<Connection>& conn,
               ? obs::GlobalMetricsReportJson()
               : obs::MetricsPrometheusText(
                     obs::MetricsRegistry::Global().Snapshot());
-      WriteResponse(conn, response, options_.write_timeout_ms);
+      Reply(*conn, response);
       return;
     }
     case Method::kDebug: {
@@ -440,14 +298,14 @@ void RouterServer::HandleRequest(const std::shared_ptr<Connection>& conn,
       response.trace_id = request.trace_id;
       response.status = StatusCode::kOk;
       response.epoch = map_->Epoch();
-      response.payload = flight_->DumpJson();
-      WriteResponse(conn, response, options_.write_timeout_ms);
+      response.payload = flight_.DumpJson();
+      Reply(*conn, response);
       return;
     }
     case Method::kReload: {
       // The router's reload verb swaps the SHARD MAP, not an index. The map
       // is one small JSON document, so unlike the oracle server's index
-      // reload it runs inline on the reader; a corrupt file rolls back
+      // reload it runs inline on the loop; a corrupt file rolls back
       // (old epoch keeps routing) per ShardMapManager's contract.
       IPIN_LATENCY_SCOPE("serve.latency.reload_us");
       Response response;
@@ -463,7 +321,7 @@ void RouterServer::HandleRequest(const std::shared_ptr<Connection>& conn,
         response.info.emplace_back(
             "rolled_back", status == ReloadStatus::kRolledBack ? 1.0 : 0.0);
       }
-      WriteResponse(conn, response, options_.write_timeout_ms);
+      Reply(*conn, response);
       return;
     }
     case Method::kReshardStatus: {
@@ -509,273 +367,76 @@ void RouterServer::HandleRequest(const std::shared_ptr<Connection>& conn,
         response.info.emplace_back("shards_down", 0.0);
         response.info.emplace_back("prev_shards_down", 0.0);
       }
-      WriteResponse(conn, response, options_.write_timeout_ms);
+      Reply(*conn, response);
       return;
     }
     case Method::kQuery:
     case Method::kTopk:
       break;
   }
+  Route(conn, std::move(request), received);
+}
 
+void RouterServer::Route(const std::shared_ptr<Connection>& conn,
+                         Request&& request, Clock::time_point received) {
   if (request.trace_id == 0) {
     request.trace_id = next_trace_id_.fetch_add(1, std::memory_order_relaxed);
   }
   const uint64_t trace_id = request.trace_id;
+  const int64_t id = request.id;
   IPIN_TRACE_ASYNC_BEGIN("serve.request", trace_id);
 
+  // Admission: no new work while draining, and at most queue_capacity
+  // routed requests in flight across the loops — the excess is shed.
+  const bool draining = draining_.load(std::memory_order_acquire);
+  if (draining ||
+      inflight_.load(std::memory_order_relaxed) >= options_.queue_capacity) {
+    Response response;
+    response.id = id;
+    response.trace_id = trace_id;
+    response.status =
+        draining ? StatusCode::kUnavailable : StatusCode::kOverloaded;
+    if (draining) response.error = "server is draining";
+    response.retry_after_ms = options_.retry_after_ms;
+    if (!draining) IPIN_COUNTER_ADD("serve.requests.shed", 1);
+    RecordRejected(trace_id, id, request.mode, request.seeds.size(),
+                   response.status, received);
+    Reply(*conn, response);
+    IPIN_TRACE_ASYNC_END("serve.request", trace_id);
+    return;
+  }
+  inflight_.fetch_add(1, std::memory_order_relaxed);
+  IPIN_COUNTER_ADD("serve.requests.accepted", 1);
+
+  LoopState& state = State(*conn);
+  auto owned = std::make_unique<Routed>();
+  Routed& routed = *owned;
+  state.routed.emplace(&routed, std::move(owned));
+  routed.client = conn;
+  routed.received = received;
   const int64_t deadline_ms = request.deadline_ms > 0
                                   ? request.deadline_ms
                                   : options_.default_deadline_ms;
-  Task task;
-  task.deadline = now + std::chrono::milliseconds(deadline_ms);
-  task.enqueued = now;
-  task.conn = conn;
-  const int64_t id = request.id;
+  routed.deadline = received + std::chrono::milliseconds(deadline_ms);
+  routed.request = std::move(request);
+  routed.route_start = Clock::now();
+  routed.admission_us = ToMicros(routed.route_start - received);
+  IPIN_TRACE_ASYNC_BEGIN("serve.route", trace_id);
 
-  if (draining_.load(std::memory_order_acquire)) {
-    Response response;
-    response.id = id;
-    response.trace_id = trace_id;
-    response.status = StatusCode::kUnavailable;
-    response.error = "server is draining";
-    response.retry_after_ms = options_.retry_after_ms;
-    RecordRejected(trace_id, id, request.mode, request.seeds.size(),
-                   StatusCode::kUnavailable, now);
-    WriteResponse(conn, response, options_.write_timeout_ms);
-    IPIN_TRACE_ASYNC_END("serve.request", trace_id);
+  const Request& req = routed.request;
+  Response& answer = routed.answer.emplace();
+  answer.id = id;
+  answer.trace_id = trace_id;
+  routed.fleet = Fleet();
+  if (routed.fleet == nullptr) {
+    answer.status = StatusCode::kUnavailable;
+    answer.error = "no shard map loaded";
+    answer.retry_after_ms = options_.retry_after_ms;
+    Finish(state, routed);
     return;
   }
-  task.admission_us = ToMicros(Clock::now() - now);
-  const QueryMode mode = request.mode;
-  const size_t num_seeds = request.seeds.size();
-  task.request = std::move(request);
-  if (!queue_.TryPush(std::move(task))) {
-    Response response;
-    response.id = id;
-    response.trace_id = trace_id;
-    response.status = StatusCode::kOverloaded;
-    response.retry_after_ms = options_.retry_after_ms;
-    IPIN_COUNTER_ADD("serve.requests.shed", 1);
-    RecordRejected(trace_id, id, mode, num_seeds, StatusCode::kOverloaded,
-                   now);
-    WriteResponse(conn, response, options_.write_timeout_ms);
-    IPIN_TRACE_ASYNC_END("serve.request", trace_id);
-    return;
-  }
-  IPIN_TRACE_ASYNC_BEGIN("serve.queue", trace_id);
-  IPIN_COUNTER_ADD("serve.requests.accepted", 1);
-  IPIN_GAUGE_SET("serve.queue.depth", queue_.Depth());
-}
-
-void RouterServer::RecordRejected(uint64_t trace_id, int64_t id,
-                                  QueryMode mode, size_t num_seeds,
-                                  StatusCode status,
-                                  Clock::time_point received) {
-  RequestRecord record;
-  record.trace_id = trace_id;
-  record.id = id;
-  record.mode = mode;
-  record.status = status;
-  record.num_seeds = num_seeds;
-  record.epoch = map_->Epoch();
-  record.total_us = ToMicros(Clock::now() - received);
-  record.admission_us = record.total_us;
-  flight_->Record(record);
-}
-
-void RouterServer::WorkerLoop() {
-  while (true) {
-    auto task = queue_.Pop();
-    if (!task.has_value()) return;
-    IPIN_GAUGE_SET("serve.queue.depth", queue_.Depth());
-    const Clock::time_point now = Clock::now();
-    const uint64_t trace_id = task->request.trace_id;
-    const int64_t queue_us = ToMicros(now - task->enqueued);
-    IPIN_HISTOGRAM_RECORD("serve.queue.wait_us", queue_us);
-    IPIN_TRACE_ASYNC_END("serve.queue", trace_id);
-
-    const bool past_drain =
-        draining_.load(std::memory_order_acquire) && now >= drain_deadline_;
-
-    Response response;
-    int64_t eval_us = 0;
-    if (now >= task->deadline || past_drain) {
-      response.id = task->request.id;
-      response.trace_id = trace_id;
-      response.status = StatusCode::kDeadlineExceeded;
-      response.epoch = map_->Epoch();
-      IPIN_COUNTER_ADD("serve.requests.deadline_exceeded", 1);
-    } else {
-      IPIN_LATENCY_SCOPE("serve.latency.route_us");
-      IPIN_TRACE_ASYNC_BEGIN("serve.route", trace_id);
-      const Clock::time_point eval_start = Clock::now();
-      response = EvaluateScatter(task->request, task->deadline);
-      eval_us = ToMicros(Clock::now() - eval_start);
-      IPIN_TRACE_ASYNC_END("serve.route", trace_id);
-    }
-    IPIN_TRACE_ASYNC_BEGIN("serve.write", trace_id);
-    const Clock::time_point write_start = Clock::now();
-    const std::string line = SerializeResponse(response);
-    const Clock::time_point done = Clock::now();
-
-    // Record before respond: a client that acts on the reply must find
-    // this request in the flight recorder already.
-    RequestRecord record;
-    record.trace_id = trace_id;
-    record.id = task->request.id;
-    record.mode = task->request.mode;
-    record.status = response.status;
-    record.degraded = response.degraded;
-    record.num_seeds = task->request.seeds.size();
-    record.epoch = response.epoch;
-    record.admission_us = task->admission_us;
-    record.queue_us = queue_us;
-    record.eval_us = eval_us;
-    record.write_us = ToMicros(done - write_start);
-    record.total_us = ToMicros(done - task->enqueued);
-    flight_->Record(record);
-    WriteLine(task->conn, line, options_.write_timeout_ms);
-    IPIN_TRACE_ASYNC_END("serve.write", trace_id);
-    IPIN_TRACE_ASYNC_END("serve.request", trace_id);
-    if (record.total_us > options_.slow_query_us) {
-      LogWarning(StrFormat(
-          "route: slow request trace_id=%s id=%lld status=%s total_us=%lld "
-          "(admission=%lld queue=%lld route=%lld write=%lld)",
-          TraceIdToHex(trace_id).c_str(),
-          static_cast<long long>(record.id), StatusCodeName(record.status),
-          static_cast<long long>(record.total_us),
-          static_cast<long long>(record.admission_us),
-          static_cast<long long>(record.queue_us),
-          static_cast<long long>(record.eval_us),
-          static_cast<long long>(record.write_us)));
-    }
-  }
-}
-
-std::optional<Response> RouterServer::RunShardLeg(
-    const std::shared_ptr<ShardFleet>& fleet, bool prev, size_t shard,
-    const Request& leg, Clock::time_point leg_deadline,
-    FlightRecorder* flight) {
-  const Clock::time_point start = Clock::now();
-  IPIN_COUNTER_ADD("serve.shard.legs", 1);
-  if (prev) IPIN_COUNTER_ADD("serve.shard.legs.fallback", 1);
-  IPIN_TRACE_ASYNC_BEGIN("serve.shard.leg", leg.trace_id);
-  ShardHealthTracker& health = fleet->SideHealth(prev);
-
-  // One flight record per leg, tagged with its shard, under the request's
-  // trace id — the dump shows which leg made a request slow or partial.
-  const auto record_leg = [&](StatusCode status, uint64_t epoch) {
-    RequestRecord record;
-    record.shard = static_cast<int>(shard);
-    record.trace_id = leg.trace_id;
-    record.id = leg.id;
-    record.mode = leg.mode;
-    record.status = status;
-    record.num_seeds = leg.seeds.size();
-    record.epoch = epoch;
-    record.eval_us = ToMicros(Clock::now() - start);
-    record.total_us = record.eval_us;
-    flight->Record(record);
-    IPIN_TRACE_ASYNC_END("serve.shard.leg", leg.trace_id);
-  };
-
-  if (!health.AllowRequest(shard)) {
-    // Circuit open on every endpoint: report the shard missing immediately
-    // instead of burning the request's budget on backends known to be down.
-    IPIN_COUNTER_ADD("serve.shard.legs.skipped", 1);
-    record_leg(StatusCode::kUnavailable, 0);
-    return std::nullopt;
-  }
-  // Replica failover: dial whatever endpoint the health tracker currently
-  // designates (the primary, or a promoted replica while the primary's
-  // circuit is open). All outcome bookkeeping is addressed to this endpoint
-  // so a replica's failures never count against the primary.
-  const size_t endpoint = health.ActiveEndpoint(shard);
-  int64_t remaining_ms = MillisUntil(leg_deadline);
-  if (remaining_ms < 1) {
-    // Never ran: says nothing about the shard's health.
-    record_leg(StatusCode::kDeadlineExceeded, 0);
-    return std::nullopt;
-  }
-
-  std::optional<Response> result;
-  std::string error;
-  if (IPIN_FAILPOINT("serve.shard.connect").fail) {
-    error = "injected serve.shard.connect fault";
-  } else {
-    auto client = fleet->Borrow(prev, shard, endpoint);
-    const bool hedge = fleet->options.hedge_after_ms > 0 &&
-                       fleet->options.hedge_after_ms < remaining_ms;
-    client->SetIoTimeout(hedge ? fleet->options.hedge_after_ms
-                               : remaining_ms);
-    if (IPIN_FAILPOINT("serve.shard.rpc").fail) {
-      error = "injected serve.shard.rpc fault";
-      client->Disconnect();
-    } else {
-      result = client->Call(leg, &error);
-    }
-    if (result.has_value()) {
-      fleet->Return(prev, shard, endpoint, std::move(client));
-    } else if (hedge) {
-      // Hedged retry: the first attempt straggled past hedge_after_ms (or
-      // failed outright); re-send once on the mirror — or the same endpoint
-      // when none is configured — with whatever budget is left.
-      IPIN_COUNTER_ADD("serve.shard.hedged", 1);
-      remaining_ms = MillisUntil(leg_deadline);
-      if (remaining_ms >= 1) {
-        if (IPIN_FAILPOINT("serve.shard.rpc").fail) {
-          error = "injected serve.shard.rpc fault";
-        } else {
-          auto hedged =
-              fleet->NewClient(prev, shard, endpoint, /*prefer_mirror=*/true);
-          hedged->SetIoTimeout(remaining_ms);
-          result = hedged->Call(leg, &error);
-        }
-      }
-    }
-  }
-  IPIN_HISTOGRAM_RECORD("serve.shard.leg_us", ToMicros(Clock::now() - start));
-
-  // A usable partial is OK (merged) or BAD_REQUEST (propagated: the seed
-  // range check is deterministic across shards). Everything else — no
-  // response, OVERLOADED, UNAVAILABLE, DEADLINE_EXCEEDED, INTERNAL — counts
-  // against the endpoint's health and the leg is reported missing.
-  const bool usable = result.has_value() &&
-                      (result->status == StatusCode::kOk ||
-                       result->status == StatusCode::kBadRequest);
-  if (usable) {
-    health.OnEndpointSuccess(shard, endpoint);
-    IPIN_COUNTER_ADD("serve.shard.legs.ok", 1);
-    record_leg(result->status, result->epoch);
-    return result;
-  }
-  health.OnEndpointFailure(shard, endpoint);
-  IPIN_COUNTER_ADD("serve.shard.legs.failed", 1);
-  if (!result.has_value()) {
-    LogDebug(StrFormat("route: shard %zu endpoint %zu leg failed "
-                       "trace_id=%s: %s",
-                       shard, endpoint, TraceIdToHex(leg.trace_id).c_str(),
-                       error.c_str()));
-  }
-  record_leg(result.has_value() ? result->status : StatusCode::kUnavailable,
-             result.has_value() ? result->epoch : 0);
-  return std::nullopt;
-}
-
-Response RouterServer::EvaluateScatter(const Request& request,
-                                       Clock::time_point deadline) {
-  Response response;
-  response.id = request.id;
-  response.trace_id = request.trace_id;
-
-  const std::shared_ptr<ShardFleet> fleet = Fleet();
-  if (fleet == nullptr) {
-    response.status = StatusCode::kUnavailable;
-    response.error = "no shard map loaded";
-    response.retry_after_ms = options_.retry_after_ms;
-    return response;
-  }
-  response.epoch = fleet->epoch;
+  const ShardFleet& fleet = *routed.fleet;
+  answer.epoch = fleet.epoch;
 
   // Fan-out plan: for a query, one leg per shard owning >= 1 seed (with its
   // disjoint seed subset, want_ranks=true, sketch mode); for topk, one leg
@@ -783,78 +444,67 @@ Response RouterServer::EvaluateScatter(const Request& request,
   // seeds additionally ride a fallback leg to their previous-epoch owner
   // (double-dispatch: the merge is idempotent, so the overlap is free), and
   // topk fans out to the previous fleet as well.
-  const bool topk = request.method == Method::kTopk;
-  const bool in_transition = fleet->map->InTransition();
-  struct Leg {
-    size_t shard = 0;
-    /// Targets the previous-epoch fleet (fallback leg of a double
-    /// dispatch).
-    bool prev = false;
-    /// Positions in request.seeds this leg carries (coverage accounting —
-    /// overlapping legs must not double-count a seed).
-    std::vector<size_t> seed_idx;
-    Request request;
-  };
-  std::vector<Leg> legs;
-  const size_t total_seeds = request.seeds.size();
+  const bool topk = req.method == Method::kTopk;
+  const bool in_transition = fleet.map->InTransition();
+  std::vector<Routed::Leg>& legs = routed.legs;
   // Each leg's deadline leaves the router margin to merge and answer; the
   // leg's wire deadline_ms tells the backend the same budget.
-  const Clock::time_point leg_deadline = std::max(
+  routed.leg_deadline = std::max(
       Clock::now() + std::chrono::milliseconds(1),
-      deadline - std::chrono::milliseconds(options_.shard_deadline_margin_ms));
-  const int64_t leg_deadline_ms = std::max<int64_t>(1,
-                                                    MillisUntil(leg_deadline));
+      routed.deadline -
+          std::chrono::milliseconds(options_.shard_deadline_margin_ms));
+  const int64_t leg_deadline_ms =
+      std::max<int64_t>(1, MillisUntil(routed.leg_deadline));
   const auto make_leg = [&](size_t shard, bool prev) {
-    Leg leg;
+    Routed::Leg leg;
     leg.shard = shard;
     leg.prev = prev;
     leg.request.method = topk ? Method::kTopk : Method::kQuery;
     if (topk) {
-      leg.request.k = request.k;
+      leg.request.k = req.k;
     } else {
       leg.request.mode = QueryMode::kSketch;
       leg.request.want_ranks = true;
     }
     leg.request.deadline_ms = leg_deadline_ms;
-    leg.request.trace_id = request.trace_id;
-    leg.request.parent_span = request.trace_id;
+    leg.request.trace_id = trace_id;
+    leg.request.parent_span = trace_id;
     return leg;
   };
-  size_t num_new_legs = 0;  // topk: legs on the new epoch's fleet
   if (topk) {
-    num_new_legs = fleet->map->num_shards();
-    legs.reserve(num_new_legs +
-                 (in_transition ? fleet->map->previous()->num_shards() : 0));
-    for (size_t s = 0; s < num_new_legs; ++s) {
+    routed.num_new_legs = fleet.map->num_shards();
+    legs.reserve(routed.num_new_legs +
+                 (in_transition ? fleet.map->previous()->num_shards() : 0));
+    for (size_t s = 0; s < routed.num_new_legs; ++s) {
       legs.push_back(make_leg(s, /*prev=*/false));
     }
     if (in_transition) {
-      for (size_t s = 0; s < fleet->map->previous()->num_shards(); ++s) {
+      for (size_t s = 0; s < fleet.map->previous()->num_shards(); ++s) {
         legs.push_back(make_leg(s, /*prev=*/true));
       }
     }
   } else {
     // Partition by the NEW map, remembering each seed's position; moved
     // seeds get a second, previous-epoch partition.
-    std::vector<std::vector<size_t>> parts(fleet->map->num_shards());
+    std::vector<std::vector<size_t>> parts(fleet.map->num_shards());
     std::vector<std::vector<size_t>> prev_parts(
-        in_transition ? fleet->map->previous()->num_shards() : 0);
-    for (size_t i = 0; i < request.seeds.size(); ++i) {
-      const NodeId seed = request.seeds[i];
-      parts[fleet->map->OwnerOf(seed)].push_back(i);
-      if (in_transition && fleet->map->OwnerMoved(seed)) {
-        prev_parts[fleet->map->previous()->OwnerOf(seed)].push_back(i);
+        in_transition ? fleet.map->previous()->num_shards() : 0);
+    for (size_t i = 0; i < req.seeds.size(); ++i) {
+      const NodeId seed = req.seeds[i];
+      parts[fleet.map->OwnerOf(seed)].push_back(i);
+      if (in_transition && fleet.map->OwnerMoved(seed)) {
+        prev_parts[fleet.map->previous()->OwnerOf(seed)].push_back(i);
       }
     }
     const auto emit = [&](std::vector<std::vector<size_t>>& side_parts,
                           bool prev) {
       for (size_t s = 0; s < side_parts.size(); ++s) {
         if (side_parts[s].empty()) continue;
-        Leg leg = make_leg(s, prev);
+        Routed::Leg leg = make_leg(s, prev);
         leg.seed_idx = std::move(side_parts[s]);
         leg.request.seeds.reserve(leg.seed_idx.size());
         for (const size_t i : leg.seed_idx) {
-          leg.request.seeds.push_back(request.seeds[i]);
+          leg.request.seeds.push_back(req.seeds[i]);
         }
         legs.push_back(std::move(leg));
       }
@@ -865,43 +515,324 @@ Response RouterServer::EvaluateScatter(const Request& request,
   if (legs.empty()) {
     // A query whose seed set is empty unions nothing — the single-process
     // answer is 0 with no shard involved.
-    response.status = StatusCode::kOk;
-    response.estimate = 0.0;
+    answer.status = StatusCode::kOk;
+    answer.estimate = 0.0;
     IPIN_COUNTER_ADD("serve.requests.ok", 1);
-    return response;
+    Finish(state, routed);
+    return;
   }
 
-  // Scatter. Legs run on the shared global pool and rendezvous through a
-  // refcounted Gather; the worker waits until every leg delivered or the
-  // request deadline passed. A straggler completing later writes into the
-  // still-alive Gather and is ignored. Legs capture only refcounted state
-  // (fleet, gather, flight) — never `this` — so a leg stuck in a socket
-  // timeout cannot dangle across server shutdown.
-  auto gather = std::make_shared<Gather>();
-  gather->pending = legs.size();
-  gather->results.resize(legs.size());
-  const std::shared_ptr<FlightRecorder> flight = flight_;
-  for (size_t i = 0; i < legs.size(); ++i) {
-    GlobalPool().Submit([fleet, gather, flight, i,
-                         leg = legs[i].request, shard = legs[i].shard,
-                         prev = legs[i].prev, leg_deadline] {
-      std::optional<Response> result =
-          RunShardLeg(fleet, prev, shard, leg, leg_deadline, flight.get());
-      std::lock_guard<std::mutex> lock(gather->mu);
-      gather->results[i] = std::move(result);
-      --gather->pending;
-      gather->cv.notify_all();
-    });
+  // Scatter: every leg is written now; replies come back to this loop.
+  routed.answer.reset();
+  routed.pending = legs.size();
+  routed.held = true;
+  for (size_t i = 0; i < legs.size(); ++i) LaunchLeg(state, routed, i);
+  routed.held = false;
+  if (routed.pending == 0) {
+    Finish(state, routed);
+  } else {
+    ArmTimer(state, routed);
   }
+}
 
-  // Gather.
-  std::vector<std::optional<Response>> results;
-  {
-    std::unique_lock<std::mutex> lock(gather->mu);
-    gather->cv.wait_until(lock, deadline,
-                          [&] { return gather->pending == 0; });
-    results = gather->results;
+void RouterServer::LaunchLeg(LoopState& state, Routed& routed, size_t i) {
+  Routed::Leg& leg = routed.legs[i];
+  leg.start = Clock::now();
+  IPIN_COUNTER_ADD("serve.shard.legs", 1);
+  if (leg.prev) IPIN_COUNTER_ADD("serve.shard.legs.fallback", 1);
+  IPIN_TRACE_ASYNC_BEGIN("serve.shard.leg", leg.request.trace_id);
+  ShardHealthTracker& health = routed.fleet->SideHealth(leg.prev);
+  if (!health.AllowRequest(leg.shard)) {
+    // Circuit open on every endpoint: report the shard missing immediately
+    // instead of burning the request's budget on backends known to be
+    // down. Never ran, so it says nothing about the shard's health.
+    IPIN_COUNTER_ADD("serve.shard.legs.skipped", 1);
+    CompleteLeg(state, routed, i, StatusCode::kUnavailable, 0);
+    return;
   }
+  // Replica failover: dial whatever endpoint the health tracker currently
+  // designates (the primary, or a promoted replica while the primary's
+  // circuit is open). All outcome bookkeeping is addressed to this endpoint
+  // so a replica's failures never count against the primary.
+  leg.endpoint = health.ActiveEndpoint(leg.shard);
+  const int64_t remaining_ms = MillisUntil(routed.leg_deadline);
+  if (remaining_ms < 1) {
+    // Never ran: says nothing about the shard's health.
+    CompleteLeg(state, routed, i, StatusCode::kDeadlineExceeded, 0);
+    return;
+  }
+  if (IPIN_FAILPOINT("serve.shard.connect").fail) {
+    leg.error = "injected serve.shard.connect fault";
+    LegDone(state, routed, i, std::nullopt);
+    return;
+  }
+  leg.hedge = options_.hedge_after_ms > 0 &&
+              options_.hedge_after_ms < remaining_ms;
+  leg.deadline = leg.hedge ? leg.start + std::chrono::milliseconds(
+                                             options_.hedge_after_ms)
+                           : routed.leg_deadline;
+  if (!SendAttempt(state, routed, i, /*hedged=*/false)) {
+    AttemptFailed(state, routed, i);
+  }
+}
+
+bool RouterServer::SendAttempt(LoopState& state, Routed& routed, size_t i,
+                               bool hedged) {
+  Routed::Leg& leg = routed.legs[i];
+  if (IPIN_FAILPOINT("serve.shard.rpc").fail) {
+    leg.error = "injected serve.shard.rpc fault";
+    return false;
+  }
+  Connection* conn = ShardConnection(
+      state,
+      routed.fleet->Endpoint(leg.prev, leg.shard, leg.endpoint,
+                             /*prefer_mirror=*/hedged),
+      hedged, &leg.error);
+  if (conn == nullptr) return false;
+  leg.wire_id = state.next_wire_id++;
+  leg.request.id = leg.wire_id;
+  leg.written = Clock::now();
+  state.wire.emplace(leg.wire_id, LoopState::Wire{&routed, i, conn});
+  conn->Send(SerializeRequest(leg.request));
+  return true;
+}
+
+void RouterServer::AttemptFailed(LoopState& state, Routed& routed, size_t i) {
+  Routed::Leg& leg = routed.legs[i];
+  leg.wire_id = 0;
+  if (leg.hedge) {
+    // Hedged retry: the first attempt straggled past hedge_after_ms (or
+    // failed outright); re-send once on the mirror — or a second
+    // connection to the same endpoint when none is configured — with
+    // whatever budget is left.
+    leg.hedge = false;
+    IPIN_COUNTER_ADD("serve.shard.hedged", 1);
+    if (MillisUntil(routed.leg_deadline) >= 1) {
+      leg.deadline = routed.leg_deadline;
+      if (SendAttempt(state, routed, i, /*hedged=*/true)) return;
+    }
+  }
+  LegDone(state, routed, i, std::nullopt);
+}
+
+void RouterServer::LegDone(LoopState& state, Routed& routed, size_t i,
+                           std::optional<Response> result) {
+  Routed::Leg& leg = routed.legs[i];
+  IPIN_HISTOGRAM_RECORD("serve.shard.leg_us",
+                        ToMicros(Clock::now() - leg.start));
+  // A usable partial is OK (merged) or BAD_REQUEST (propagated: the seed
+  // range check is deterministic across shards). Everything else — no
+  // response, OVERLOADED, UNAVAILABLE, DEADLINE_EXCEEDED, INTERNAL — counts
+  // against the endpoint's health and the leg is reported missing.
+  const bool usable = result.has_value() &&
+                      (result->status == StatusCode::kOk ||
+                       result->status == StatusCode::kBadRequest);
+  ShardHealthTracker& health = routed.fleet->SideHealth(leg.prev);
+  if (usable) {
+    health.OnEndpointSuccess(leg.shard, leg.endpoint);
+    IPIN_COUNTER_ADD("serve.shard.legs.ok", 1);
+  } else {
+    health.OnEndpointFailure(leg.shard, leg.endpoint);
+    IPIN_COUNTER_ADD("serve.shard.legs.failed", 1);
+    if (!result.has_value()) {
+      LogDebug(StrFormat("route: shard %zu endpoint %zu leg failed "
+                         "trace_id=%s: %s",
+                         leg.shard, leg.endpoint,
+                         TraceIdToHex(leg.request.trace_id).c_str(),
+                         leg.error.c_str()));
+    }
+  }
+  const StatusCode status =
+      result.has_value() ? result->status : StatusCode::kUnavailable;
+  const uint64_t epoch = result.has_value() ? result->epoch : 0;
+  if (usable) leg.result = std::move(result);
+  CompleteLeg(state, routed, i, status, epoch);
+}
+
+void RouterServer::CompleteLeg(LoopState& state, Routed& routed, size_t i,
+                               StatusCode status, uint64_t epoch) {
+  Routed::Leg& leg = routed.legs[i];
+  leg.wire_id = 0;
+  leg.done = true;
+  // One flight record per leg, tagged with its shard, under the request's
+  // trace id — the dump shows which leg made a request slow or partial.
+  // Written before the request's reply (record before respond).
+  RequestRecord record;
+  record.shard = static_cast<int>(leg.shard);
+  record.trace_id = leg.request.trace_id;
+  record.id = routed.request.id;
+  record.mode = leg.request.mode;
+  record.status = status;
+  record.num_seeds = leg.request.seeds.size();
+  record.epoch = epoch;
+  record.eval_us = leg.wire_us;
+  record.total_us = ToMicros(Clock::now() - leg.start);
+  flight_.Record(record);
+  IPIN_TRACE_ASYNC_END("serve.shard.leg", leg.request.trace_id);
+  if (--routed.pending == 0 && !routed.held) Finish(state, routed);
+}
+
+void RouterServer::ArmTimer(LoopState& state, Routed& routed) {
+  Clock::time_point next = Clock::time_point::max();
+  for (const Routed::Leg& leg : routed.legs) {
+    if (leg.wire_id != 0) next = std::min(next, leg.deadline);
+  }
+  if (next == Clock::time_point::max()) return;
+  if (routed.timer != 0 && routed.timer_at == next) return;
+  state.loop->CancelTimer(routed.timer);
+  routed.timer_at = next;
+  routed.timer = state.loop->AddTimer(next, [this, &state, &routed] {
+    routed.timer = 0;
+    OnRoutedTimer(state, routed);
+  });
+}
+
+void RouterServer::OnRoutedTimer(LoopState& state, Routed& routed) {
+  const Clock::time_point now = Clock::now();
+  routed.held = true;
+  for (size_t i = 0; i < routed.legs.size(); ++i) {
+    Routed::Leg& leg = routed.legs[i];
+    if (leg.wire_id == 0 || leg.deadline > now) continue;
+    // The attempt ran out of time: forget its wire id (a late reply is
+    // dropped), then hedge or give up on the leg.
+    state.wire.erase(leg.wire_id);
+    leg.error = "timed out";
+    AttemptFailed(state, routed, i);
+  }
+  routed.held = false;
+  if (routed.pending == 0) {
+    Finish(state, routed);
+  } else {
+    ArmTimer(state, routed);
+  }
+}
+
+Connection* RouterServer::ShardConnection(LoopState& state,
+                                          const ShardEndpoint& endpoint,
+                                          bool hedged, std::string* error) {
+  const std::string key = EndpointKey(endpoint, hedged);
+  const auto it = state.shards.find(key);
+  if (it != state.shards.end() && !it->second->closed()) {
+    return it->second.get();
+  }
+  std::shared_ptr<Connection> conn = Connection::Dial(
+      endpoint.unix_socket_path, endpoint.tcp_host, endpoint.tcp_port,
+      options_.connect_timeout_ms, options_.write_timeout_ms, state.loop,
+      [this, &state](Connection& c, std::string_view line) {
+        return OnShardLine(state, c, line);
+      },
+      [this, &state](Connection& c) { OnShardReleased(state, c); }, error);
+  if (conn == nullptr) return nullptr;
+  Connection* raw = conn.get();
+  state.shards[key] = std::move(conn);
+  return raw;
+}
+
+bool RouterServer::OnShardLine(LoopState& state, Connection& conn,
+                               std::string_view line) {
+  std::optional<Response> response = ParseResponse(line);
+  if (!response.has_value()) {
+    // A torn or corrupt stream: drop the connection, failing its legs.
+    LogWarning("route: malformed shard response; dropping the connection");
+    return false;
+  }
+  const auto it = state.wire.find(response->id);
+  // An abandoned attempt's late reply (hedged or timed out): nothing waits.
+  if (it == state.wire.end() || it->second.conn != &conn) return true;
+  const LoopState::Wire wire = it->second;
+  state.wire.erase(it);
+  Routed::Leg& leg = wire.routed->legs[wire.leg];
+  leg.wire_us = ToMicros(Clock::now() - leg.written);
+  LegDone(state, *wire.routed, wire.leg, std::move(response));
+  return true;
+}
+
+void RouterServer::OnShardReleased(LoopState& state, Connection& conn) {
+  for (auto it = state.shards.begin(); it != state.shards.end(); ++it) {
+    if (it->second.get() == &conn) {
+      state.shards.erase(it);
+      break;
+    }
+  }
+  // Every attempt in flight on the connection failed with it. Collected
+  // first: failing one may dial (hedge) or finish a request.
+  std::vector<int64_t> failed;
+  for (const auto& [wire_id, wire] : state.wire) {
+    if (wire.conn == &conn) failed.push_back(wire_id);
+  }
+  for (const int64_t wire_id : failed) {
+    const auto it = state.wire.find(wire_id);
+    if (it == state.wire.end()) continue;
+    const LoopState::Wire wire = it->second;
+    state.wire.erase(it);
+    wire.routed->legs[wire.leg].error = "connection lost";
+    AttemptFailed(state, *wire.routed, wire.leg);
+  }
+}
+
+void RouterServer::Finish(LoopState& state, Routed& routed) {
+  state.loop->CancelTimer(routed.timer);
+  for (const Routed::Leg& leg : routed.legs) {
+    if (leg.wire_id != 0) state.wire.erase(leg.wire_id);
+  }
+  const uint64_t trace_id = routed.request.trace_id;
+  const Response response =
+      routed.answer.has_value() ? *routed.answer : Merge(routed);
+  const Clock::time_point write_start = Clock::now();
+  const int64_t route_us = ToMicros(write_start - routed.route_start);
+  IPIN_HISTOGRAM_RECORD("serve.latency.route_us", route_us);
+  IPIN_TRACE_ASYNC_END("serve.route", trace_id);
+  IPIN_TRACE_ASYNC_BEGIN("serve.write", trace_id);
+  const std::string line = SerializeResponse(response);
+  const Clock::time_point done = Clock::now();
+
+  // Record before respond: a client that acts on the reply must find
+  // this request in the flight recorder already.
+  RequestRecord record;
+  record.trace_id = trace_id;
+  record.id = routed.request.id;
+  record.mode = routed.request.mode;
+  record.status = response.status;
+  record.degraded = response.degraded;
+  record.num_seeds = routed.request.seeds.size();
+  record.epoch = response.epoch;
+  record.admission_us = routed.admission_us;
+  record.eval_us = route_us;
+  record.write_us = ToMicros(done - write_start);
+  record.total_us = ToMicros(done - routed.received);
+  flight_.Record(record);
+  routed.client->Send(line);
+  IPIN_TRACE_ASYNC_END("serve.write", trace_id);
+  IPIN_TRACE_ASYNC_END("serve.request", trace_id);
+  if (record.total_us > options_.slow_query_us) {
+    LogWarning(StrFormat(
+        "route: slow request trace_id=%s id=%lld status=%s total_us=%lld "
+        "(admission=%lld route=%lld write=%lld)",
+        TraceIdToHex(trace_id).c_str(), static_cast<long long>(record.id),
+        StatusCodeName(record.status),
+        static_cast<long long>(record.total_us),
+        static_cast<long long>(record.admission_us),
+        static_cast<long long>(record.eval_us),
+        static_cast<long long>(record.write_us)));
+  }
+  state.routed.erase(&routed);
+  if (inflight_.fetch_sub(1, std::memory_order_acq_rel) == 1 &&
+      draining_.load(std::memory_order_acquire)) {
+    { std::lock_guard<std::mutex> lock(drained_mu_); }
+    drained_cv_.notify_all();
+  }
+}
+
+Response RouterServer::Merge(const Routed& routed) const {
+  const Request& request = routed.request;
+  const std::vector<Routed::Leg>& legs = routed.legs;
+  const bool topk = request.method == Method::kTopk;
+  const size_t total_seeds = request.seeds.size();
+  const size_t num_new_legs = routed.num_new_legs;
+  Response response;
+  response.id = request.id;
+  response.trace_id = request.trace_id;
+  response.epoch = routed.fleet->epoch;
 
   // Merge. During a transition the same seed (query) or the same node
   // (topk) may arrive from both epochs; the cellwise max is idempotent and
@@ -915,8 +846,8 @@ Response RouterServer::EvaluateScatter(const Request& request,
   std::vector<uint8_t> merged;
   std::vector<std::pair<NodeId, double>> candidates;
   for (size_t i = 0; i < legs.size(); ++i) {
-    if (!results[i].has_value()) continue;
-    const Response& partial = *results[i];
+    if (!legs[i].result.has_value()) continue;
+    const Response& partial = *legs[i].result;
     if (partial.status == StatusCode::kBadRequest) {
       // Deterministic across shards (full node space everywhere): the
       // request itself is bad, not the fan-out.
@@ -1087,9 +1018,8 @@ void RouterServer::ProbeLoop() {
         IPIN_COUNTER_ADD("serve.shard.probe", 1);
         Request probe;
         probe.method = Method::kHealth;
-        auto client =
-            fleet->NewClient(prev, s, endpoint, /*prefer_mirror=*/false);
-        client->SetIoTimeout(std::max<int64_t>(10, interval_ms));
+        auto client = fleet->NewClient(prev, s, endpoint,
+                                       std::max<int64_t>(10, interval_ms));
         std::string error;
         const std::optional<Response> result = client->Call(probe, &error);
         // Recovery requires a SERVING backend: a daemon that answers health
@@ -1112,11 +1042,6 @@ Response RouterServer::StatsResponse(const Request& request) {
   response.trace_id = request.trace_id;
   response.status = StatusCode::kOk;
   response.epoch = map_->Epoch();
-  size_t active;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    active = active_connections_;
-  }
   size_t shards = 0;
   size_t healthy = 0;
   size_t suspect = 0;
@@ -1139,16 +1064,22 @@ Response RouterServer::StatsResponse(const Request& request) {
     }
   }
   response.info = {
-      {"queue_depth", static_cast<double>(queue_.Depth())},
+      {"queue_depth",
+       static_cast<double>(inflight_.load(std::memory_order_relaxed))},
       {"queue_capacity", static_cast<double>(options_.queue_capacity)},
       {"workers", static_cast<double>(options_.num_workers)},
-      {"connections_active", static_cast<double>(active)},
+      {"connections_active",
+       static_cast<double>(net_ == nullptr ? 0 : net_->active_connections())},
       {"map_epoch", static_cast<double>(map_->Epoch())},
       {"shards_total", static_cast<double>(shards)},
       {"shards_healthy", static_cast<double>(healthy)},
       {"shards_suspect", static_cast<double>(suspect)},
       {"shards_down", static_cast<double>(down)},
       {"draining", draining_.load(std::memory_order_acquire) ? 1.0 : 0.0},
+      {"loops",
+       static_cast<double>(net_ == nullptr ? 0 : net_->num_loops())},
+      {"inflight",
+       static_cast<double>(inflight_.load(std::memory_order_relaxed))},
   };
 #ifndef IPIN_OBS_DISABLED
   const double win_s = static_cast<double>(options_.stats_window_s);
@@ -1172,22 +1103,20 @@ Response RouterServer::StatsResponse(const Request& request) {
   return response;
 }
 
-void RouterServer::WriteResponse(const std::shared_ptr<Connection>& conn,
-                                 const Response& response,
-                                 int64_t write_timeout_ms) {
-  if (conn->broken.load(std::memory_order_acquire)) return;
-  WriteLine(conn, SerializeResponse(response), write_timeout_ms);
-}
-
-void RouterServer::WriteLine(const std::shared_ptr<Connection>& conn,
-                             const std::string& line,
-                             int64_t write_timeout_ms) {
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (conn->broken.load(std::memory_order_acquire)) return;
-  if (!WriteAll(conn->fd, line, write_timeout_ms)) {
-    conn->broken.store(true, std::memory_order_release);
-    ::shutdown(conn->fd, SHUT_RDWR);
-  }
+void RouterServer::RecordRejected(uint64_t trace_id, int64_t id,
+                                  QueryMode mode, size_t num_seeds,
+                                  StatusCode status,
+                                  Clock::time_point received) {
+  RequestRecord record;
+  record.trace_id = trace_id;
+  record.id = id;
+  record.mode = mode;
+  record.status = status;
+  record.num_seeds = num_seeds;
+  record.epoch = map_->Epoch();
+  record.total_us = ToMicros(Clock::now() - received);
+  record.admission_us = record.total_us;
+  flight_.Record(record);
 }
 
 void RouterServer::Shutdown() {
@@ -1197,36 +1126,44 @@ void RouterServer::Shutdown() {
       Clock::now() + std::chrono::milliseconds(options_.drain_deadline_ms);
   draining_.store(true, std::memory_order_release);
 
-  // 1. Stop accepting connections.
-  if (acceptor_.joinable()) acceptor_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (!options_.unix_socket_path.empty()) {
-    ::unlink(options_.unix_socket_path.c_str());
-  }
+  // 1. Stop accepting connections. 2. Stop reading requests: what already
+  // arrived is answered (queries UNAVAILABLE).
+  net_->StopAccepting();
+  net_->StopReading();
 
-  // 2. Half-close connections: no new requests, queued answers still flow.
+  // 3. Let the requests in flight finish their scatter-gather; each is
+  // bounded by its own leg timers, and the drain deadline bounds the wait.
   {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& slot : readers_) ::shutdown(slot.conn->fd, SHUT_RD);
+    std::unique_lock<std::mutex> lock(drained_mu_);
+    drained_cv_.wait_until(lock, drain_deadline_, [this] {
+      return inflight_.load(std::memory_order_acquire) == 0;
+    });
+  }
+  // Past the drain deadline, whatever is still out answers
+  // DEADLINE_EXCEEDED instead of waiting for its legs.
+  for (size_t i = 0; i < net_->num_loops(); ++i) {
+    net_->loop(i)->RunSync([this, i] {
+      LoopState& state = *loops_[i];
+      std::vector<Routed*> stuck;
+      for (const auto& [key, routed] : state.routed) {
+        stuck.push_back(routed.get());
+      }
+      for (Routed* routed : stuck) {
+        Response& answer = routed->answer.emplace();
+        answer.id = routed->request.id;
+        answer.trace_id = routed->request.trace_id;
+        answer.status = StatusCode::kDeadlineExceeded;
+        answer.epoch = routed->fleet ? routed->fleet->epoch : 0;
+        IPIN_COUNTER_ADD("serve.requests.deadline_exceeded", 1);
+        Finish(state, *routed);
+      }
+    });
   }
 
-  // 3. Drain the queue; workers answer what is in it (their scatter waits
-  // are bounded by each request's deadline) and exit on the empty signal.
-  queue_.Drain();
-  worker_pool_.reset();
-
-  // 4. Join the readers.
-  std::vector<ReaderSlot> readers;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    readers.swap(readers_);
-  }
-  for (auto& slot : readers) {
-    if (slot.thread.joinable()) slot.thread.join();
-  }
+  // 4. Flush the answers and stop the loops, then drop the shard
+  // connections with them.
+  net_->Stop();
+  loops_.clear();
 
   // 5. Stop the prober (a probe in flight is bounded by its I/O timeout).
   {
@@ -1237,8 +1174,7 @@ void RouterServer::Shutdown() {
   if (prober_.joinable()) prober_.join();
 
   window_.Stop();
-  IPIN_GAUGE_SET("serve.queue.depth", 0);
-  LogInfo("route: drained, all workers stopped");
+  LogInfo("route: drained, all loops stopped");
 }
 
 }  // namespace ipin::serve

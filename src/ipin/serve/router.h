@@ -7,23 +7,35 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
-#include "ipin/common/thread_pool.h"
 #include "ipin/obs/window.h"
 #include "ipin/serve/client.h"
+#include "ipin/serve/event_loop.h"
 #include "ipin/serve/flight_recorder.h"
 #include "ipin/serve/health.h"
 #include "ipin/serve/protocol.h"
-#include "ipin/serve/queue.h"
 #include "ipin/serve/shard_map.h"
 
 // The scatter-gather router of the sharded serving tier (DESIGN.md §11): a
 // daemon core speaking the same newline-JSON protocol as OracleServer, but
 // answering each query by fanning it out to per-shard ipin_oracled backends
 // and merging their partials.
+//
+//   * Data plane. The router runs on the same event loops as OracleServer
+//     (event_loop.h; num_workers loops). A query is planned, scattered and
+//     merged on the loop that read it, without a thread hop: each leg is
+//     one line written, under a loop-unique id, on a persistent pipelined
+//     connection that the loop keeps per shard endpoint; the loop goes back
+//     to epoll_wait and matches replies by id as they arrive (protocol.h
+//     makes replies unordered and id-correlated). The merge runs when the
+//     last leg lands or a loop timer (leg deadline, hedge, connect timeout)
+//     gives up on it. queue_capacity bounds the routed requests in flight;
+//     the excess is answered OVERLOADED.
 //
 //   * Exact merge. Shard legs are sent with want_ranks=true; each backend
 //     returns the per-cell max-rank vector of its seed subset. Seeds
@@ -42,8 +54,9 @@
 //     minus shard_deadline_margin_ms (so the router always has time left to
 //     merge and answer). With hedge_after_ms > 0 a leg's first attempt is
 //     capped at that much; a straggler or failure is then retried once on
-//     the shard's mirror endpoint (or the primary again) with the remaining
-//     budget — one slow replica no longer sets the request's latency.
+//     the shard's mirror endpoint (or, on a second connection, the same
+//     endpoint) with the remaining budget — one slow replica no longer sets
+//     the request's latency. The abandoned attempt's late reply is ignored.
 //   * Partial results. If at least one owning shard answers, the router
 //     answers OK with degraded=true when any shard is missing, plus
 //     shards_total / shards_answered and a conservative coverage bound
@@ -75,10 +88,12 @@
 //     endpoint is down. The "reshard_status" admin verb reports transition
 //     state and per-epoch down counts.
 //
-// Failpoint sites: serve.shard.connect (leg fails before dialing),
-// serve.shard.rpc (each RPC attempt fails — error_prob(p) gives seeded
-// random shard faults), serve.shard.merge (the merge step fails →
-// INTERNAL), serve.shard.map (reload rollback, see shard_map.h).
+// Failpoint sites: serve.shard.connect (leg fails before dialing; one draw
+// per leg), serve.shard.rpc (each RPC attempt fails — error_prob(p) gives
+// seeded random shard faults; one draw per attempt), serve.shard.merge (the
+// merge step fails → INTERNAL), serve.shard.map (reload rollback, see
+// shard_map.h). A delay(...) action on the serve.shard.* sites stalls the
+// loop that draws it.
 //
 // Observability (on top of the serve.* request metrics, which the router
 // shares so ipin_top works unchanged): serve.shard.legs{,.ok,.failed,
@@ -88,7 +103,8 @@
 // serve.latency.route_us. The client's trace_id rides every shard leg
 // (parent_span = trace_id), so one id spans the router lane and each
 // backend's lanes; the flight recorder keeps one record per leg (with its
-// shard number) plus one per request.
+// shard number; eval_us is the wire time from the leg's write to its parsed
+// reply) plus one per request.
 
 namespace ipin::serve {
 
@@ -97,7 +113,9 @@ struct RouterOptions {
   std::string unix_socket_path;
   int tcp_port = -1;
 
+  /// Event loops.
   int num_workers = 4;
+  /// Bound on routed requests in flight; the excess is answered OVERLOADED.
   size_t queue_capacity = 64;
   size_t max_connections = 64;
 
@@ -106,7 +124,7 @@ struct RouterOptions {
   int64_t drain_deadline_ms = 2000;
   int64_t write_timeout_ms = 2000;
 
-  /// Per-leg connect budget to a shard backend.
+  /// Connect budget of a loop's connection to a shard backend.
   int64_t connect_timeout_ms = 250;
   /// Carved off the request's remaining budget to form each leg's deadline,
   /// reserving time for the merge + response write.
@@ -133,7 +151,7 @@ class RouterServer {
   RouterServer(const RouterServer&) = delete;
   RouterServer& operator=(const RouterServer&) = delete;
 
-  /// Binds, listens, and spawns acceptor + workers + the shard prober.
+  /// Binds, listens, and spawns the event loops + the shard prober.
   bool Start();
 
   /// Graceful drain, mirroring OracleServer::Shutdown. Idempotent.
@@ -141,10 +159,13 @@ class RouterServer {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
   int bound_port() const { return bound_port_; }
-  size_t queue_depth() const { return queue_.Depth(); }
+  /// Routed requests in flight (bounded by options().queue_capacity).
+  size_t queue_depth() const {
+    return inflight_.load(std::memory_order_relaxed);
+  }
 
-  std::string DebugDump() const { return flight_->DumpJson(); }
-  const FlightRecorder& flight_recorder() const { return *flight_; }
+  std::string DebugDump() const { return flight_.DumpJson(); }
+  const FlightRecorder& flight_recorder() const { return flight_; }
 
   /// Health states of the current fleet's shards (empty before the first
   /// query/probe touched a fleet). Test/introspection hook.
@@ -155,24 +176,14 @@ class RouterServer {
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct Connection;
-
-  struct Task {
-    Request request;
-    Clock::time_point deadline;
-    Clock::time_point enqueued;
-    int64_t admission_us = 0;
-    std::shared_ptr<Connection> conn;
-  };
-
-  // One shard-map epoch's worth of backends: the map, its health tracker,
-  // and a pool of reusable clients per shard endpoint. Legs hold the fleet
-  // via shared_ptr, so a reshard builds a fresh fleet while in-flight
-  // requests finish on the old one (health state starts clean after a
-  // reshard — the prober re-discovers a down backend within one failure
-  // round). When the map is in transition the fleet also carries the
-  // PREVIOUS epoch's pools and health tracker (`prev` = true selects them)
-  // so double-dispatch fallback legs can dial the old owners.
+  // One shard-map epoch's worth of backends: the map and its health
+  // tracker. Routed requests hold the fleet via shared_ptr, so a reshard
+  // builds a fresh fleet while in-flight requests finish on the old one
+  // (health state starts clean after a reshard — the prober re-discovers a
+  // down backend within one failure round). When the map is in transition
+  // the fleet also carries the PREVIOUS epoch's health tracker (`prev` =
+  // true selects it) so double-dispatch fallback legs can dial the old
+  // owners.
   struct ShardFleet {
     ShardFleet(std::shared_ptr<const ShardMap> map, uint64_t epoch,
                const RouterOptions& options);
@@ -184,56 +195,68 @@ class RouterServer {
       return prev ? *prev_health : health;
     }
 
-    std::unique_ptr<OracleClient> Borrow(bool prev, size_t shard,
-                                         size_t endpoint);
-    void Return(bool prev, size_t shard, size_t endpoint,
-                std::unique_ptr<OracleClient> client);
-    /// A fresh, unpooled client for the given endpoint index (0 = primary,
-    /// i = replicas[i-1]); prefer_mirror picks the mirror endpoint when the
-    /// shard has one (hedged retries only — mirrors are not replicas).
+    /// The endpoint to dial (0 = primary, i = replicas[i-1]);
+    /// prefer_mirror picks the mirror endpoint when the shard has one
+    /// (hedged retries only — mirrors are not replicas).
+    const ShardEndpoint& Endpoint(bool prev, size_t shard, size_t endpoint,
+                                  bool prefer_mirror) const;
+    /// A blocking client for the prober.
     std::unique_ptr<OracleClient> NewClient(bool prev, size_t shard,
                                             size_t endpoint,
-                                            bool prefer_mirror) const;
+                                            int64_t io_timeout_ms) const;
 
     const std::shared_ptr<const ShardMap> map;
     const uint64_t epoch;
-    // By value: legs hold the fleet past a server shutdown, so the fleet
-    // must not reference RouterServer members.
     const RouterOptions options;
     ShardHealthTracker health;
     /// Previous-epoch health; non-null iff map->InTransition().
     std::unique_ptr<ShardHealthTracker> prev_health;
-
-    struct Pool {
-      std::mutex mu;
-      std::vector<std::unique_ptr<OracleClient>> idle;
-    };
-    /// pools[shard][endpoint]; prev_pools mirrors the previous map's shards.
-    std::vector<std::vector<std::unique_ptr<Pool>>> pools;
-    std::vector<std::vector<std::unique_ptr<Pool>>> prev_pools;
   };
 
-  // Scatter-gather rendezvous: one slot per leg, workers wait on the cv
-  // until every leg delivered or the deadline passed. Refcounted so a
-  // straggler leg completing after the wait timed out writes into a live
-  // object (its result is simply ignored).
-  struct Gather {
-    std::mutex mu;
-    std::condition_variable cv;
-    size_t pending = 0;
-    std::vector<std::optional<Response>> results;  // one per leg
-  };
+  // One routed request in flight, and the shard connections and in-flight
+  // requests of one loop (that loop's thread only).
+  struct Routed;
+  struct LoopState;
 
-  void AcceptLoop();
-  void ReadLoop(std::shared_ptr<Connection> conn);
-  void WorkerLoop();
   void ProbeLoop();
-  void ReapFinishedReaders();
 
+  void HandleLine(const std::shared_ptr<Connection>& conn,
+                  std::string_view line);
   void HandleRequest(const std::shared_ptr<Connection>& conn,
-                     Request&& request);
-  /// The scatter-gather evaluation of one query/topk request.
-  Response EvaluateScatter(const Request& request, Clock::time_point deadline);
+                     Request&& request, Clock::time_point received);
+  /// Admits one query/topk request and scatters its legs.
+  void Route(const std::shared_ptr<Connection>& conn, Request&& request,
+             Clock::time_point received);
+  LoopState& State(const Connection& conn);
+
+  // The leg state machine. A call that completes the request's last leg
+  // runs Finish, which destroys the Routed: callers touch it no further.
+  void LaunchLeg(LoopState& state, Routed& routed, size_t leg);
+  /// Writes one attempt of a leg; false (leg.error set) if it failed at
+  /// once.
+  bool SendAttempt(LoopState& state, Routed& routed, size_t leg,
+                   bool hedged);
+  void AttemptFailed(LoopState& state, Routed& routed, size_t leg);
+  /// A leg attempt's outcome: health bookkeeping, then CompleteLeg.
+  void LegDone(LoopState& state, Routed& routed, size_t leg,
+               std::optional<Response> result);
+  /// Records the leg and counts it landed.
+  void CompleteLeg(LoopState& state, Routed& routed, size_t leg,
+                   StatusCode status, uint64_t epoch);
+  void OnRoutedTimer(LoopState& state, Routed& routed);
+  void ArmTimer(LoopState& state, Routed& routed);
+  /// Merges (unless the answer is already set), records, replies and
+  /// forgets the request.
+  void Finish(LoopState& state, Routed& routed);
+  Response Merge(const Routed& routed) const;
+
+  /// A loop's persistent connection to `endpoint` (a second one when
+  /// `hedged`), dialing it if needed; nullptr with `error` on failure.
+  Connection* ShardConnection(LoopState& state, const ShardEndpoint& endpoint,
+                              bool hedged, std::string* error);
+  bool OnShardLine(LoopState& state, Connection& conn, std::string_view line);
+  void OnShardReleased(LoopState& state, Connection& conn);
+
   Response StatsResponse(const Request& request);
   void RecordRejected(uint64_t trace_id, int64_t id, QueryMode mode,
                       size_t num_seeds, StatusCode status,
@@ -243,44 +266,20 @@ class RouterServer {
   /// or after a reshard. nullptr while no map is installed.
   std::shared_ptr<ShardFleet> Fleet();
 
-  /// One shard RPC with health bookkeeping, replica failover, hedging,
-  /// failpoints, and a leg flight record; returns the shard response or
-  /// nullopt. `prev` targets the previous-epoch fleet (double-dispatch
-  /// fallback legs during a transition). Static and fed only refcounted
-  /// state: a leg stuck in a socket timeout may outlive the scatter wait
-  /// (and even server shutdown) without dangling.
-  static std::optional<Response> RunShardLeg(
-      const std::shared_ptr<ShardFleet>& fleet, bool prev, size_t shard,
-      const Request& leg, Clock::time_point leg_deadline,
-      FlightRecorder* flight);
-
-  static void WriteResponse(const std::shared_ptr<Connection>& conn,
-                            const Response& response,
-                            int64_t write_timeout_ms);
-  /// Sends one serialized response line.
-  static void WriteLine(const std::shared_ptr<Connection>& conn,
-                        const std::string& line, int64_t write_timeout_ms);
-
   ShardMapManager* const map_;
   const RouterOptions options_;
 
-  int listen_fd_ = -1;
   int bound_port_ = -1;
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   Clock::time_point drain_deadline_{};
 
-  BoundedQueue<Task> queue_;
-  std::thread acceptor_;
-  std::unique_ptr<ThreadPool> worker_pool_;
-
-  std::mutex conns_mu_;
-  struct ReaderSlot {
-    std::thread thread;
-    std::shared_ptr<Connection> conn;
-  };
-  std::vector<ReaderSlot> readers_;
-  size_t active_connections_ = 0;
+  std::unique_ptr<EventServer> net_;
+  /// One per loop, indexed by EventLoop::index().
+  std::vector<std::unique_ptr<LoopState>> loops_;
+  std::atomic<size_t> inflight_{0};
+  std::mutex drained_mu_;
+  std::condition_variable drained_cv_;
 
   mutable std::mutex fleet_mu_;
   std::shared_ptr<ShardFleet> fleet_;
@@ -290,9 +289,7 @@ class RouterServer {
   std::thread prober_;
   bool probe_stop_ = false;
 
-  // shared_ptr: leg closures carry it past the scatter wait (see
-  // RunShardLeg).
-  std::shared_ptr<FlightRecorder> flight_;
+  FlightRecorder flight_;
   obs::WindowedAggregator window_;
   std::atomic<uint64_t> next_trace_id_{1};
 };

@@ -1,16 +1,8 @@
 #include "ipin/serve/server.h"
 
-#include <netinet/in.h>
-#include <poll.h>
-#include <sys/socket.h>
-#include <sys/un.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
 #include <cmath>
 #include <condition_variable>
-#include <cstring>
 #include <deque>
 #include <queue>
 
@@ -27,64 +19,24 @@
 namespace ipin::serve {
 namespace {
 
-// A protocol line longer than this is abuse, not a request.
-constexpr size_t kMaxLineBytes = 1 << 20;
-
 int64_t ToMicros(std::chrono::steady_clock::duration d) {
   return std::chrono::duration_cast<std::chrono::microseconds>(d).count();
 }
 
-void SetSendTimeout(int fd, int64_t timeout_ms) {
-  timeval tv{};
-  tv.tv_sec = timeout_ms / 1000;
-  tv.tv_usec = (timeout_ms % 1000) * 1000;
-  ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
+void Reply(Connection& conn, const Response& response) {
+  conn.Send(SerializeResponse(response));
 }
 
-// Bounded write: the socket carries SO_SNDTIMEO, so each send() blocks at
-// most timeout_ms; the elapsed check on top bounds the WHOLE response even
-// against a peer that drains one byte per timeout window. A peer that stops
-// reading therefore costs at most ~2x timeout_ms of thread time, never a
-// wedged reader/worker.
-bool WriteAll(int fd, const std::string& data, int64_t timeout_ms) {
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(timeout_ms);
-  size_t written = 0;
-  while (written < data.size()) {
-    const ssize_t n = ::send(fd, data.data() + written, data.size() - written,
-                             MSG_NOSIGNAL);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        // SO_SNDTIMEO expired: the peer is not reading.
-        IPIN_COUNTER_ADD("serve.write.timeouts", 1);
-      }
-      return false;
-    }
-    written += static_cast<size_t>(n);
-    if (written < data.size() && std::chrono::steady_clock::now() >= deadline) {
-      IPIN_COUNTER_ADD("serve.write.timeouts", 1);
-      return false;
-    }
-  }
-  return true;
+// Does this query take the sketch path (see the inline rule in server.h)?
+// Mirrors EvaluateQuery's choice between the exact and the sketch oracle.
+bool SketchPath(const Request& request, const IndexSnapshot& snapshot) {
+  if (request.mode == QueryMode::kSketch || request.want_ranks) return true;
+  return request.mode == QueryMode::kAuto &&
+         (snapshot.exact == nullptr ||
+          snapshot.exact->num_nodes() < snapshot.index->num_nodes());
 }
 
 }  // namespace
-
-struct OracleServer::Connection {
-  explicit Connection(int fd) : fd(fd) {}
-  ~Connection() {
-    if (fd >= 0) ::close(fd);
-  }
-
-  const int fd;
-  std::mutex write_mu;             // responses are single lines, one writer at
-                                   // a time keeps them uninterleaved
-  std::string read_buffer;
-  std::atomic<bool> broken{false};       // write side failed; stop responding
-  std::atomic<bool> reader_done{false};  // reader thread exited (reapable)
-};
 
 // Shared with the reload thread via shared_ptr: Shutdown() may detach that
 // thread if a reload is wedged inside the loader, so nothing it touches may
@@ -123,87 +75,13 @@ OracleServer::~OracleServer() { Shutdown(); }
 
 bool OracleServer::Start() {
   if (running_.load(std::memory_order_acquire)) return true;
-  const bool unix_mode = !options_.unix_socket_path.empty();
-  if (unix_mode == (options_.tcp_port >= 0)) {
-    LogError("serve: set exactly one of unix_socket_path / tcp_port");
-    return false;
-  }
-
-  if (unix_mode) {
-    sockaddr_un addr{};
-    addr.sun_family = AF_UNIX;
-    if (options_.unix_socket_path.size() >= sizeof(addr.sun_path)) {
-      LogError("serve: socket path too long: " + options_.unix_socket_path);
-      return false;
-    }
-    std::strncpy(addr.sun_path, options_.unix_socket_path.c_str(),
-                 sizeof(addr.sun_path) - 1);
-    listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) {
-      LogError(StrFormat("serve: socket(): %s", std::strerror(errno)));
-      return false;
-    }
-    ::unlink(options_.unix_socket_path.c_str());  // stale socket from a crash
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      LogError(StrFormat("serve: bind(%s): %s",
-                         options_.unix_socket_path.c_str(),
-                         std::strerror(errno)));
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return false;
-    }
-  } else {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (listen_fd_ < 0) {
-      LogError(StrFormat("serve: socket(): %s", std::strerror(errno)));
-      return false;
-    }
-    const int one = 1;
-    ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-    addr.sin_port = htons(static_cast<uint16_t>(options_.tcp_port));
-    if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      LogError(StrFormat("serve: bind(127.0.0.1:%d): %s", options_.tcp_port,
-                         std::strerror(errno)));
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      return false;
-    }
-    sockaddr_in bound{};
-    socklen_t len = sizeof(bound);
-    if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&bound),
-                      &len) == 0) {
-      bound_port_ = ntohs(bound.sin_port);
-    }
-  }
-
-  if (::listen(listen_fd_, 128) != 0) {
-    LogError(StrFormat("serve: listen(): %s", std::strerror(errno)));
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return false;
-  }
-
-  running_.store(true, std::memory_order_release);
   draining_.store(false, std::memory_order_release);
 
-#ifndef IPIN_OBS_DISABLED
-  // One registry sample per second backs the stats verb's win_* fields and
-  // ipin_top. Not started in obs-disabled builds: the macros record
-  // nothing, so the ring would only ever hold empty snapshots.
-  window_.Start();
-#endif
-
   // Dedicated reload thread: a slow or wedged Reload() blocks only this
-  // thread — never a connection reader or query worker — and Shutdown()
-  // can abandon it (detach) if it outlasts the drain deadline.
+  // thread — never an event loop or query worker — and Shutdown() can
+  // abandon it (detach) if it outlasts the drain deadline.
   reload_state_ = std::make_shared<ReloadState>();
-  reload_thread_ = std::thread([state = reload_state_, index = index_,
-                                write_timeout = options_.write_timeout_ms] {
+  reload_thread_ = std::thread([state = reload_state_, index = index_] {
     for (;;) {
       ReloadState::Job job;
       bool draining;
@@ -232,7 +110,7 @@ bool OracleServer::Start() {
         response.info.emplace_back(
             "rolled_back", status == ReloadStatus::kRolledBack ? 1.0 : 0.0);
       }
-      WriteResponse(job.conn, response, write_timeout);
+      Reply(*job.conn, response);
     }
     {
       std::lock_guard<std::mutex> lock(state->mu);
@@ -240,134 +118,71 @@ bool OracleServer::Start() {
     }
     state->cv.notify_all();
   });
-
-  acceptor_ = std::thread([this] { AcceptLoop(); });
   worker_pool_ =
       std::make_unique<ThreadPool>(static_cast<size_t>(options_.num_workers));
   for (int i = 0; i < options_.num_workers; ++i) {
     worker_pool_->Submit([this] { WorkerLoop(); });
   }
+
+  EventServerOptions net_options;
+  net_options.unix_socket_path = options_.unix_socket_path;
+  net_options.tcp_port = options_.tcp_port;
+  net_options.num_loops = options_.num_workers;
+  net_options.max_connections = options_.max_connections;
+  net_options.write_timeout_ms = options_.write_timeout_ms;
+  net_options.retry_after_ms = options_.retry_after_ms;
+  net_options.log_tag = "serve";
+  net_ = std::make_unique<EventServer>(
+      net_options,
+      [this](const std::shared_ptr<Connection>& conn, std::string_view line) {
+        HandleLine(conn, line);
+      });
+  if (!net_->Start()) {
+    net_.reset();
+    queue_.Drain();
+    worker_pool_.reset();
+    StopReloadThread();
+    return false;
+  }
+  bound_port_ = net_->bound_port();
+  running_.store(true, std::memory_order_release);
+
+#ifndef IPIN_OBS_DISABLED
+  // One registry sample per second backs the stats verb's win_* fields and
+  // ipin_top. Not started in obs-disabled builds: the macros record
+  // nothing, so the ring would only ever hold empty snapshots.
+  window_.Start();
+#endif
   LogInfo(StrFormat(
-      "serve: listening on %s (%d workers, queue %zu)",
-      unix_mode ? options_.unix_socket_path.c_str()
-                : StrFormat("127.0.0.1:%d", bound_port_).c_str(),
-      options_.num_workers, options_.queue_capacity));
+      "serve: listening on %s (%d loops + %d workers, queue %zu)",
+      !options_.unix_socket_path.empty()
+          ? options_.unix_socket_path.c_str()
+          : StrFormat("127.0.0.1:%d", bound_port_).c_str(),
+      options_.num_workers, options_.num_workers, options_.queue_capacity));
   return true;
 }
 
-void OracleServer::AcceptLoop() {
-  while (running_.load(std::memory_order_acquire) &&
-         !draining_.load(std::memory_order_acquire)) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, /*timeout_ms=*/100);
-    if (ready <= 0) {
-      ReapFinishedReaders();
-      continue;
-    }
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) {
-      if (errno == EINTR || errno == ECONNABORTED) continue;
-      break;  // listener closed (shutdown) or unrecoverable
-    }
-    if (IPIN_FAILPOINT("serve.accept").fail) {
-      // Injected accept failure: the kernel handed us the connection but
-      // the server "could not" take it — clients see a reset and retry.
-      IPIN_COUNTER_ADD("serve.accept.failures", 1);
-      ::close(fd);
-      continue;
-    }
-    SetSendTimeout(fd, options_.write_timeout_ms);
-    auto conn = std::make_shared<Connection>(fd);
-    {
-      std::lock_guard<std::mutex> lock(conns_mu_);
-      if (active_connections_ >= options_.max_connections) {
-        Response reject;
-        reject.status = StatusCode::kOverloaded;
-        reject.retry_after_ms = options_.retry_after_ms;
-        reject.error = "connection limit reached";
-        IPIN_COUNTER_ADD("serve.requests.shed", 1);
-        WriteResponse(conn, reject, options_.write_timeout_ms);
-        continue;  // conn destructor closes fd
-      }
-      ++active_connections_;
-      IPIN_GAUGE_SET("serve.connections.active", active_connections_);
-      readers_.push_back(ReaderSlot{
-          std::thread([this, conn] { ReadLoop(conn); }), conn});
-    }
-    ReapFinishedReaders();
+void OracleServer::HandleLine(const std::shared_ptr<Connection>& conn,
+                              std::string_view line) {
+  const Clock::time_point received = Clock::now();
+  std::string parse_error;
+  int64_t id = 0;
+  auto request = ParseRequest(line, &parse_error, &id);
+  if (!request.has_value()) {
+    Response bad;
+    bad.id = id;
+    bad.status = StatusCode::kBadRequest;
+    bad.error = parse_error;
+    IPIN_COUNTER_ADD("serve.requests.bad", 1);
+    Reply(*conn, bad);
+    return;
   }
-}
-
-void OracleServer::ReapFinishedReaders() {
-  std::lock_guard<std::mutex> lock(conns_mu_);
-  for (size_t i = 0; i < readers_.size();) {
-    if (readers_[i].conn->reader_done.load(std::memory_order_acquire)) {
-      readers_[i].thread.join();
-      readers_[i] = std::move(readers_.back());
-      readers_.pop_back();
-    } else {
-      ++i;
-    }
-  }
-}
-
-void OracleServer::ReadLoop(std::shared_ptr<Connection> conn) {
-  std::string line;
-  while (true) {
-    // Buffered line read.
-    size_t newline;
-    while ((newline = conn->read_buffer.find('\n')) == std::string::npos) {
-      char chunk[4096];
-      const ssize_t n = ::recv(conn->fd, chunk, sizeof(chunk), 0);
-      if (n == 0) goto done;  // peer closed / drain shutdown(SHUT_RD)
-      if (n < 0) {
-        if (errno == EINTR) continue;
-        goto done;
-      }
-      conn->read_buffer.append(chunk, static_cast<size_t>(n));
-      if (conn->read_buffer.size() > kMaxLineBytes) {
-        LogWarning("serve: dropping connection with oversized request line");
-        goto done;
-      }
-    }
-    line.assign(conn->read_buffer, 0, newline);
-    conn->read_buffer.erase(0, newline + 1);
-
-    if (IPIN_FAILPOINT("serve.read").fail) {
-      // Injected read fault: the bytes arrived but the server treats the
-      // connection as unreadable, as a torn TCP stream would look.
-      IPIN_COUNTER_ADD("serve.read.failures", 1);
-      goto done;
-    }
-    if (line.empty()) continue;
-
-    std::string parse_error;
-    int64_t id = 0;
-    auto request = ParseRequest(line, &parse_error, &id);
-    if (!request.has_value()) {
-      Response bad;
-      bad.id = id;
-      bad.status = StatusCode::kBadRequest;
-      bad.error = parse_error;
-      IPIN_COUNTER_ADD("serve.requests.bad", 1);
-      WriteResponse(conn, bad, options_.write_timeout_ms);
-      continue;
-    }
-    HandleRequest(conn, std::move(*request));
-    if (conn->broken.load(std::memory_order_acquire)) break;
-  }
-done:
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    --active_connections_;
-    IPIN_GAUGE_SET("serve.connections.active", active_connections_);
-  }
-  conn->reader_done.store(true, std::memory_order_release);
+  HandleRequest(conn, std::move(*request), received);
 }
 
 void OracleServer::HandleRequest(const std::shared_ptr<Connection>& conn,
-                                 Request&& request) {
-  const Clock::time_point now = Clock::now();
+                                 Request&& request,
+                                 Clock::time_point received) {
   switch (request.method) {
     case Method::kHealth: {
       // Answered inline so liveness probes work even with a full queue.
@@ -379,12 +194,12 @@ void OracleServer::HandleRequest(const std::shared_ptr<Connection>& conn,
       response.status = snapshot.epoch > 0 ? StatusCode::kOk
                                            : StatusCode::kUnavailable;
       response.epoch = snapshot.epoch;
-      WriteResponse(conn, response, options_.write_timeout_ms);
+      Reply(*conn, response);
       return;
     }
     case Method::kStats: {
       IPIN_LATENCY_SCOPE("serve.latency.stats_us");
-      WriteResponse(conn, StatsResponse(request), options_.write_timeout_ms);
+      Reply(*conn, StatsResponse(request));
       return;
     }
     case Method::kMetrics: {
@@ -403,7 +218,7 @@ void OracleServer::HandleRequest(const std::shared_ptr<Connection>& conn,
               ? obs::GlobalMetricsReportJson()
               : obs::MetricsPrometheusText(
                     obs::MetricsRegistry::Global().Snapshot());
-      WriteResponse(conn, response, options_.write_timeout_ms);
+      Reply(*conn, response);
       return;
     }
     case Method::kDebug: {
@@ -416,13 +231,13 @@ void OracleServer::HandleRequest(const std::shared_ptr<Connection>& conn,
       response.status = StatusCode::kOk;
       response.epoch = index_->Epoch();
       response.payload = flight_.DumpJson();
-      WriteResponse(conn, response, options_.write_timeout_ms);
+      Reply(*conn, response);
       return;
     }
     case Method::kReload: {
       // Handed to the dedicated reload thread (which also writes the
       // response): a slow or wedged reload never occupies a query worker
-      // or this reader, and queries keep flowing from the old epoch while
+      // or this loop, and queries keep flowing from the old epoch while
       // it runs.
       Response response;
       response.id = request.id;
@@ -430,7 +245,7 @@ void OracleServer::HandleRequest(const std::shared_ptr<Connection>& conn,
       if (draining_.load(std::memory_order_acquire)) {
         response.status = StatusCode::kUnavailable;
         response.error = "server is draining";
-        WriteResponse(conn, response, options_.write_timeout_ms);
+        Reply(*conn, response);
         return;
       }
       constexpr size_t kMaxPendingReloads = 4;
@@ -447,7 +262,7 @@ void OracleServer::HandleRequest(const std::shared_ptr<Connection>& conn,
       }
       if (response.status == StatusCode::kOverloaded) {
         IPIN_COUNTER_ADD("serve.requests.shed", 1);
-        WriteResponse(conn, response, options_.write_timeout_ms);
+        Reply(*conn, response);
       }
       return;
     }
@@ -461,7 +276,7 @@ void OracleServer::HandleRequest(const std::shared_ptr<Connection>& conn,
       response.status = StatusCode::kBadRequest;
       response.error = "reshard_status is a router verb";
       IPIN_COUNTER_ADD("serve.requests.bad", 1);
-      WriteResponse(conn, response, options_.write_timeout_ms);
+      Reply(*conn, response);
       return;
     }
     case Method::kQuery:
@@ -482,8 +297,8 @@ void OracleServer::HandleRequest(const std::shared_ptr<Connection>& conn,
                                   ? request.deadline_ms
                                   : options_.default_deadline_ms;
   Task task;
-  task.deadline = now + std::chrono::milliseconds(deadline_ms);
-  task.enqueued = now;
+  task.deadline = received + std::chrono::milliseconds(deadline_ms);
+  task.enqueued = received;
   task.conn = conn;
   const int64_t id = request.id;
 
@@ -495,18 +310,38 @@ void OracleServer::HandleRequest(const std::shared_ptr<Connection>& conn,
     response.error = "server is draining";
     response.retry_after_ms = options_.retry_after_ms;
     RecordRejected(trace_id, id, request.mode, request.seeds.size(),
-                   StatusCode::kUnavailable, now);
-    WriteResponse(conn, response, options_.write_timeout_ms);
+                   StatusCode::kUnavailable, received);
+    Reply(*conn, response);
     IPIN_TRACE_ASYNC_END("serve.request", trace_id);
     return;
   }
-  task.admission_us = ToMicros(Clock::now() - now);
+
+  // Small sketch-path queries are answered right here on the loop: the
+  // cellwise max costs less than a hand-off to a worker would.
+  const IndexSnapshot snapshot = index_->Snapshot();
+  if (request.method == Method::kQuery &&
+      (snapshot.index == nullptr ||
+       (SketchPath(request, snapshot) &&
+        request.seeds.size() << snapshot.index->options().precision <=
+            kInlineEvalBytes))) {
+    task.admission_us = ToMicros(Clock::now() - received);
+    task.request = std::move(request);
+    IPIN_COUNTER_ADD("serve.requests.accepted", 1);
+    IPIN_COUNTER_ADD("serve.requests.inline", 1);
+    inflight_.fetch_add(1, std::memory_order_relaxed);
+    Answer(task, /*queue_us=*/0, snapshot);
+    return;
+  }
+
+  task.admission_us = ToMicros(Clock::now() - received);
   // TryPush takes the task by value, so the request is gone either way:
   // snapshot what the rejection paths need first.
   const QueryMode mode = request.mode;
   const size_t num_seeds = request.seeds.size();
   task.request = std::move(request);
+  inflight_.fetch_add(1, std::memory_order_relaxed);
   if (!queue_.TryPush(std::move(task))) {
+    inflight_.fetch_sub(1, std::memory_order_relaxed);
     // Load shedding: reject now with a backoff hint rather than queueing
     // beyond capacity.
     Response response;
@@ -516,8 +351,8 @@ void OracleServer::HandleRequest(const std::shared_ptr<Connection>& conn,
     response.retry_after_ms = options_.retry_after_ms;
     IPIN_COUNTER_ADD("serve.requests.shed", 1);
     RecordRejected(trace_id, id, mode, num_seeds, StatusCode::kOverloaded,
-                   now);
-    WriteResponse(conn, response, options_.write_timeout_ms);
+                   received);
+    Reply(*conn, response);
     IPIN_TRACE_ASYNC_END("serve.request", trace_id);
     return;
   }
@@ -547,84 +382,89 @@ void OracleServer::WorkerLoop() {
     auto task = queue_.Pop();
     if (!task.has_value()) return;  // drained and empty
     IPIN_GAUGE_SET("serve.queue.depth", queue_.Depth());
-    const Clock::time_point now = Clock::now();
-    const uint64_t trace_id = task->request.trace_id;
-    const int64_t queue_us = ToMicros(now - task->enqueued);
+    const int64_t queue_us = ToMicros(Clock::now() - task->enqueued);
     IPIN_HISTOGRAM_RECORD("serve.queue.wait_us", queue_us);
-    IPIN_TRACE_ASYNC_END("serve.queue", trace_id);
+    IPIN_TRACE_ASYNC_END("serve.queue", task->request.trace_id);
+    Answer(*task, queue_us, index_->Snapshot());
+  }
+}
 
-    // During drain, requests older than the drain deadline are answered
-    // immediately; the rest still get evaluated.
-    const bool past_drain =
-        draining_.load(std::memory_order_acquire) && now >= drain_deadline_;
+void OracleServer::Answer(const Task& task, int64_t queue_us,
+                          const IndexSnapshot& snapshot) {
+  const Clock::time_point now = Clock::now();
+  const uint64_t trace_id = task.request.trace_id;
+  // During drain, requests older than the drain deadline are answered
+  // immediately; the rest still get evaluated.
+  const bool past_drain =
+      draining_.load(std::memory_order_acquire) && now >= drain_deadline_;
 
-    Response response;
-    int64_t eval_us = 0;
-    if (now >= task->deadline || past_drain) {
-      // Early drop at dequeue: an expired request never occupies a worker
-      // for evaluation.
-      response.id = task->request.id;
-      response.trace_id = trace_id;
-      response.status = StatusCode::kDeadlineExceeded;
-      response.epoch = index_->Epoch();
-      IPIN_COUNTER_ADD("serve.requests.deadline_exceeded", 1);
-    } else {
-      IPIN_LATENCY_SCOPE("serve.latency.query_us");
-      IPIN_TRACE_ASYNC_BEGIN("serve.eval", trace_id);
-      const Clock::time_point eval_start = Clock::now();
-      response = EvaluateQuery(task->request, task->deadline);
-      eval_us = ToMicros(Clock::now() - eval_start);
-      IPIN_TRACE_ASYNC_END("serve.eval", trace_id);
-    }
-    IPIN_TRACE_ASYNC_BEGIN("serve.write", trace_id);
-    const Clock::time_point write_start = Clock::now();
-    const std::string line = SerializeResponse(response);
-    const Clock::time_point done = Clock::now();
+  Response response;
+  int64_t eval_us = 0;
+  if (now >= task.deadline || past_drain) {
+    // Early drop at dequeue: an expired request never occupies a worker
+    // for evaluation.
+    response.id = task.request.id;
+    response.trace_id = trace_id;
+    response.status = StatusCode::kDeadlineExceeded;
+    response.epoch = snapshot.epoch;
+    IPIN_COUNTER_ADD("serve.requests.deadline_exceeded", 1);
+  } else {
+    IPIN_LATENCY_SCOPE("serve.latency.query_us");
+    IPIN_TRACE_ASYNC_BEGIN("serve.eval", trace_id);
+    response = EvaluateQuery(task.request, task.deadline, snapshot);
+    eval_us = ToMicros(Clock::now() - now);
+    IPIN_TRACE_ASYNC_END("serve.eval", trace_id);
+  }
+  IPIN_TRACE_ASYNC_BEGIN("serve.write", trace_id);
+  const Clock::time_point write_start = Clock::now();
+  const std::string line = SerializeResponse(response);
+  const Clock::time_point done = Clock::now();
 
-    // Record before respond: a client that acts on the reply must find
-    // this request in the flight recorder already.
-    RequestRecord record;
-    record.trace_id = trace_id;
-    record.id = task->request.id;
-    record.mode = task->request.mode;
-    record.status = response.status;
-    record.degraded = response.degraded;
-    record.num_seeds = task->request.seeds.size();
-    record.epoch = response.epoch;
-    record.admission_us = task->admission_us;
-    record.queue_us = queue_us;
-    record.eval_us = eval_us;
-    record.write_us = ToMicros(done - write_start);
-    record.total_us = ToMicros(done - task->enqueued);
-    flight_.Record(record);
-    WriteLine(task->conn, line, options_.write_timeout_ms);
-    IPIN_TRACE_ASYNC_END("serve.write", trace_id);
-    IPIN_TRACE_ASYNC_END("serve.request", trace_id);
-    if (record.total_us > options_.slow_query_us) {
-      LogWarning(StrFormat(
-          "serve: slow query trace_id=%s id=%lld status=%s total_us=%lld "
-          "(admission=%lld queue=%lld eval=%lld write=%lld)",
-          TraceIdToHex(trace_id).c_str(),
-          static_cast<long long>(record.id), StatusCodeName(record.status),
-          static_cast<long long>(record.total_us),
-          static_cast<long long>(record.admission_us),
-          static_cast<long long>(record.queue_us),
-          static_cast<long long>(record.eval_us),
-          static_cast<long long>(record.write_us)));
-    }
+  // Record before respond: a client that acts on the reply must find
+  // this request in the flight recorder already.
+  RequestRecord record;
+  record.trace_id = trace_id;
+  record.id = task.request.id;
+  record.mode = task.request.mode;
+  record.status = response.status;
+  record.degraded = response.degraded;
+  record.num_seeds = task.request.seeds.size();
+  record.epoch = response.epoch;
+  record.admission_us = task.admission_us;
+  record.queue_us = queue_us;
+  record.eval_us = eval_us;
+  record.write_us = ToMicros(done - write_start);
+  record.total_us = ToMicros(done - task.enqueued);
+  flight_.Record(record);
+  task.conn->Send(line);
+  inflight_.fetch_sub(1, std::memory_order_relaxed);
+  IPIN_TRACE_ASYNC_END("serve.write", trace_id);
+  IPIN_TRACE_ASYNC_END("serve.request", trace_id);
+  if (record.total_us > options_.slow_query_us) {
+    LogWarning(StrFormat(
+        "serve: slow query trace_id=%s id=%lld status=%s total_us=%lld "
+        "(admission=%lld queue=%lld eval=%lld write=%lld)",
+        TraceIdToHex(trace_id).c_str(), static_cast<long long>(record.id),
+        StatusCodeName(record.status),
+        static_cast<long long>(record.total_us),
+        static_cast<long long>(record.admission_us),
+        static_cast<long long>(record.queue_us),
+        static_cast<long long>(record.eval_us),
+        static_cast<long long>(record.write_us)));
   }
 }
 
 Response OracleServer::EvaluateQuery(const Request& request,
-                                     Clock::time_point deadline) {
+                                     Clock::time_point deadline,
+                                     const IndexSnapshot& snapshot) {
   Response response;
   response.id = request.id;
   response.trace_id = request.trace_id;
 
-  // One-lock snapshot: the whole evaluation runs on this index (and exact
-  // map), and the reported epoch is the one these pointers were installed
-  // at — a reload swapping the manager mid-query can skew neither.
-  const IndexSnapshot snapshot = index_->Snapshot();
+  // One-lock snapshot (taken by the caller): the whole evaluation runs on
+  // this index (and exact map), and the reported epoch is the one these
+  // pointers were installed at — a reload swapping the manager mid-query
+  // can skew neither.
   const std::shared_ptr<const IrsApprox>& index = snapshot.index;
   response.epoch = snapshot.epoch;
   if (index == nullptr) {
@@ -848,20 +688,20 @@ Response OracleServer::StatsResponse(const Request& request) {
   const IndexSnapshot snapshot = index_->Snapshot();
   const std::shared_ptr<const IrsApprox>& index = snapshot.index;
   response.epoch = snapshot.epoch;
-  size_t active;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    active = active_connections_;
-  }
   response.info = {
       {"queue_depth", static_cast<double>(queue_.Depth())},
       {"queue_capacity", static_cast<double>(options_.queue_capacity)},
       {"workers", static_cast<double>(options_.num_workers)},
-      {"connections_active", static_cast<double>(active)},
+      {"connections_active",
+       static_cast<double>(net_ == nullptr ? 0 : net_->active_connections())},
       {"num_nodes",
        index == nullptr ? 0.0 : static_cast<double>(index->num_nodes())},
       {"exact_loaded", snapshot.exact != nullptr ? 1.0 : 0.0},
       {"draining", draining_.load(std::memory_order_acquire) ? 1.0 : 0.0},
+      {"loops",
+       static_cast<double>(net_ == nullptr ? 0 : net_->num_loops())},
+      {"inflight",
+       static_cast<double>(inflight_.load(std::memory_order_relaxed))},
   };
   if (options_.shard_count > 0) {
     response.info.emplace_back("shard_id",
@@ -897,26 +737,6 @@ Response OracleServer::StatsResponse(const Request& request) {
   return response;
 }
 
-void OracleServer::WriteResponse(const std::shared_ptr<Connection>& conn,
-                                 const Response& response,
-                                 int64_t write_timeout_ms) {
-  if (conn->broken.load(std::memory_order_acquire)) return;
-  WriteLine(conn, SerializeResponse(response), write_timeout_ms);
-}
-
-void OracleServer::WriteLine(const std::shared_ptr<Connection>& conn,
-                             const std::string& line,
-                             int64_t write_timeout_ms) {
-  std::lock_guard<std::mutex> lock(conn->write_mu);
-  if (conn->broken.load(std::memory_order_acquire)) return;
-  if (!WriteAll(conn->fd, line, write_timeout_ms)) {
-    conn->broken.store(true, std::memory_order_release);
-    // Kick the connection's reader out of recv() so the connection is torn
-    // down instead of continuing to feed a peer that cannot be answered.
-    ::shutdown(conn->fd, SHUT_RDWR);
-  }
-}
-
 void OracleServer::Shutdown() {
   if (!running_.exchange(false, std::memory_order_acq_rel)) return;
   LogInfo("serve: draining");
@@ -924,43 +744,23 @@ void OracleServer::Shutdown() {
       Clock::now() + std::chrono::milliseconds(options_.drain_deadline_ms);
   draining_.store(true, std::memory_order_release);
 
-  // 1. Stop accepting connections.
-  if (acceptor_.joinable()) acceptor_.join();
-  if (listen_fd_ >= 0) {
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-  }
-  if (!options_.unix_socket_path.empty()) {
-    ::unlink(options_.unix_socket_path.c_str());
-  }
-
-  // 2. Stop reading new requests: half-close every connection. Responses
-  // for queued work still go out on the write side.
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    for (auto& slot : readers_) ::shutdown(slot.conn->fd, SHUT_RD);
-  }
+  // 1. Stop accepting connections. 2. Stop reading requests: what already
+  // arrived is answered (queries UNAVAILABLE), responses still go out.
+  net_->StopAccepting();
+  net_->StopReading();
 
   // 3. Drain the queue: workers answer everything still in it (evaluating
   // while the drain deadline allows), then exit on the empty signal.
   queue_.Drain();
   worker_pool_.reset();  // ThreadPool dtor joins once every WorkerLoop exits
 
-  // 4. Readers have seen EOF by now (and any reader stuck writing to a
-  // non-consuming peer is released by the write timeout); join and release
-  // the connections (closing each fd once its last in-flight response
-  // holder is gone).
-  std::vector<ReaderSlot> readers;
-  {
-    std::lock_guard<std::mutex> lock(conns_mu_);
-    readers.swap(readers_);
-  }
-  for (auto& slot : readers) {
-    if (slot.thread.joinable()) slot.thread.join();
-  }
+  // 4. Flush every connection's answers (bounded by the write timeout) and
+  // stop the loops. A connection closes once its last in-flight response
+  // holder is gone.
+  net_->Stop();
 
-  // 5. Readers are gone, so no new reload jobs can arrive: stop the reload
-  // thread, bounded by the drain deadline.
+  // 5. No loop reads requests any more, so no new reload jobs can arrive:
+  // stop the reload thread, bounded by the drain deadline.
   StopReloadThread();
   window_.Stop();
   IPIN_GAUGE_SET("serve.queue.depth", 0);

@@ -7,22 +7,33 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "ipin/common/thread_pool.h"
 #include "ipin/obs/window.h"
+#include "ipin/serve/event_loop.h"
 #include "ipin/serve/flight_recorder.h"
 #include "ipin/serve/index_manager.h"
 #include "ipin/serve/protocol.h"
 #include "ipin/serve/queue.h"
 
-// The influence-oracle daemon core: a multi-threaded server speaking the
-// newline-delimited JSON protocol of protocol.h over a Unix-domain or
-// localhost-TCP socket. Robustness model (DESIGN.md §9):
+// The influence-oracle daemon core: a server speaking the newline-delimited
+// JSON protocol of protocol.h over a Unix-domain or localhost-TCP socket.
+// Data plane (DESIGN.md §9): the connections live on num_workers epoll loops
+// (event_loop.h). A loop answers health/stats/metrics/debug and small
+// sketch-path queries itself, inline, as it reads them; only exact, topk
+// and large-|S| queries cross a thread boundary, to the offload pool.
+// Robustness model:
 //
-//   * Admission control. Parsed query requests go through a bounded queue
-//     (BoundedQueue); when it is full the reader answers OVERLOADED with a
+//   * Inline evaluation. A query is evaluated on its loop when it takes the
+//     sketch path (mode "sketch", want_ranks, or "auto" with no exact map
+//     loaded) and |S| * beta, the bytes its cellwise max reads, is at most
+//     kInlineEvalBytes. It never waits in the queue, so it is never shed.
+//   * Admission control. Every other query goes through a bounded queue
+//     (BoundedQueue, capacity queue_capacity) to num_workers offload
+//     threads; when it is full the loop answers OVERLOADED with a
 //     retry_after_ms hint instead of queueing — offered load beyond
 //     capacity is shed at the door and the queue-depth gauge stays bounded.
 //   * Deadlines. Every query carries a deadline (its own or the server
@@ -37,25 +48,27 @@
 //   * Hot reload. Queries snapshot the IndexManager epoch; reloads swap it
 //     atomically and roll back on any validation failure (old epoch keeps
 //     serving). Reload requests are handed to a dedicated reload thread,
-//     so a slow or wedged reload never occupies a query worker or a
-//     connection reader.
-//   * Slow-consumer protection. Response writes carry a send timeout
-//     (write_timeout_ms); a client that pipelines requests but never reads
-//     its socket gets its connection marked broken and torn down instead
-//     of wedging the reader or a worker in a blocking send forever.
-//   * Graceful shutdown. Shutdown() stops accepting, rejects new requests,
-//     answers everything already queued (evaluated if the drain deadline
-//     allows, DEADLINE_EXCEEDED otherwise), flushes the responses, then
-//     joins every thread. The write timeout and the drain deadline bound
-//     every join except a reload wedged inside the index loader, which is
-//     detached (and logged) rather than waited on forever.
+//     so a slow or wedged reload never occupies a query worker or a loop.
+//   * Slow-consumer protection. Responses go through each connection's
+//     bounded output buffer; a client that pipelines requests but never
+//     reads its socket stops being read once the buffer holds
+//     kMaxLineBytes, and is torn down when the buffer has not drained
+//     within write_timeout_ms — it never wedges a loop or a worker.
+//   * Graceful shutdown. Shutdown() stops accepting, stops reading (lines
+//     already received are still answered, queries UNAVAILABLE), answers
+//     everything already queued (evaluated if the drain deadline allows,
+//     DEADLINE_EXCEEDED otherwise), flushes the responses, then joins every
+//     thread. The write timeout and the drain deadline bound every join
+//     except a reload wedged inside the index loader, which is detached
+//     (and logged) rather than waited on forever.
 //
 // Failpoint sites: serve.accept (drop fresh connections), serve.read
 // (connection read errors), serve.eval (slow/failed exact evaluation,
 // forcing degradation), serve.reload (see IndexManager).
 //
-// Observability (all under serve.*): requests.{accepted,ok,shed,
-// deadline_exceeded,degraded,bad}, queue.depth, queue.wait_us,
+// Observability (all under serve.*): requests.{accepted,inline,ok,shed,
+// deadline_exceeded,degraded,bad}, queue.depth, queue.wait_us (offloaded
+// queries only; inline ones record queue_us = 0 in the flight recorder),
 // connections.active, latency.{query,health,stats,reload}_us, index.epoch,
 // reload.{ok,rollback}, audit.{sampled,completed,zero_truth},
 // audit.rel_error_{abs,over,under}_pm.
@@ -89,6 +102,12 @@
 
 namespace ipin::serve {
 
+/// A sketch-path query is evaluated inline on its event loop when |S| * beta
+/// (the rank bytes its cellwise max reads) is at most this; larger ones go
+/// through the offload queue. 2^20 bytes is tens of microseconds of kernel
+/// time: short enough that the loop's other connections do not notice.
+inline constexpr size_t kInlineEvalBytes = size_t{1} << 20;
+
 struct ServerOptions {
   /// Exactly one of the two endpoints must be set: a Unix-domain socket
   /// path, or a TCP port on 127.0.0.1 (0 = pick an ephemeral port, see
@@ -96,7 +115,9 @@ struct ServerOptions {
   std::string unix_socket_path;
   int tcp_port = -1;
 
+  /// Event loops, and threads of the offload pool.
   int num_workers = 4;
+  /// Bound of the offload queue (queries that are not evaluated inline).
   size_t queue_capacity = 64;
   size_t max_connections = 64;
 
@@ -109,10 +130,9 @@ struct ServerOptions {
   /// During Shutdown(), queued requests older than this are answered
   /// DEADLINE_EXCEEDED instead of evaluated.
   int64_t drain_deadline_ms = 2000;
-  /// Bound on writing one response to a connection. A peer that stops
+  /// Bound on a connection's output buffer draining. A peer that stops
   /// reading (full socket buffer) past this is treated as broken and its
-  /// connection is torn down — a blocking send never wedges a reader or
-  /// worker thread indefinitely.
+  /// connection is torn down.
   int64_t write_timeout_ms = 2000;
 
   /// Flight recorder: last N completed queries, last M slow ones, and the
@@ -143,8 +163,9 @@ class OracleServer {
   OracleServer(const OracleServer&) = delete;
   OracleServer& operator=(const OracleServer&) = delete;
 
-  /// Binds, listens, and spawns the acceptor + worker threads. False (with
-  /// a logged reason) on bind/listen failure.
+  /// Binds, listens, and spawns the event loops, the offload workers and
+  /// the reload thread. False (with a logged reason) on bind/listen
+  /// failure.
   bool Start();
 
   /// Graceful drain as described above. Idempotent.
@@ -169,13 +190,11 @@ class OracleServer {
  private:
   using Clock = std::chrono::steady_clock;
 
-  struct Connection;
-
   struct Task {
     Request request;
     Clock::time_point deadline;
     Clock::time_point enqueued;
-    /// Time spent in parse + admission before the queue push.
+    /// Time spent in parse + admission before evaluation or the queue push.
     int64_t admission_us = 0;
     std::shared_ptr<Connection> conn;
   };
@@ -185,18 +204,23 @@ class OracleServer {
   // shutdown without dangling anything.
   struct ReloadState;
 
-  void AcceptLoop();
-  void ReadLoop(std::shared_ptr<Connection> conn);
   void WorkerLoop();
-  void ReapFinishedReaders();
   void StopReloadThread();
 
-  /// Admission decision + queueing for one parsed request; answers
-  /// health/stats/metrics/debug inline and hands reloads to the reload
-  /// thread.
+  /// One request line, on its connection's loop thread.
+  void HandleLine(const std::shared_ptr<Connection>& conn,
+                  std::string_view line);
+  /// Admission decision for one parsed request: answers health/stats/
+  /// metrics/debug and inline queries on the spot, queues the rest, and
+  /// hands reloads to the reload thread.
   void HandleRequest(const std::shared_ptr<Connection>& conn,
-                     Request&& request);
-  Response EvaluateQuery(const Request& request, Clock::time_point deadline);
+                     Request&& request, Clock::time_point received);
+  /// Evaluates (unless expired) and answers one admitted query: record
+  /// first, then the reply.
+  void Answer(const Task& task, int64_t queue_us,
+              const IndexSnapshot& snapshot);
+  Response EvaluateQuery(const Request& request, Clock::time_point deadline,
+                         const IndexSnapshot& snapshot);
   Response StatsResponse(const Request& request);
   /// Records a query rejected before it reached a worker (shed / drain).
   void RecordRejected(uint64_t trace_id, int64_t id, QueryMode mode,
@@ -208,41 +232,25 @@ class OracleServer {
                   const std::vector<NodeId>& seeds, double estimate);
 #endif
 
-  /// Static (no `this`): also called from the reload thread, which may
-  /// outlive the server if a wedged reload forces a detach.
-  static void WriteResponse(const std::shared_ptr<Connection>& conn,
-                            const Response& response,
-                            int64_t write_timeout_ms);
-  /// Sends one serialized response line.
-  static void WriteLine(const std::shared_ptr<Connection>& conn,
-                        const std::string& line, int64_t write_timeout_ms);
-
   IndexManager* const index_;
   const ServerOptions options_;
 
-  int listen_fd_ = -1;
   int bound_port_ = -1;
   std::atomic<bool> running_{false};
   std::atomic<bool> draining_{false};
   Clock::time_point drain_deadline_{};
 
+  std::unique_ptr<EventServer> net_;
   BoundedQueue<Task> queue_;
-  std::thread acceptor_;
-  // Query workers run as num_workers long-lived WorkerLoop tasks on the
+  // Offload workers run as num_workers long-lived WorkerLoop tasks on the
   // shared pool abstraction (common/thread_pool.h); Shutdown drains the
   // queue (WorkerLoop exits on the empty signal) and resets the pool,
   // whose destructor joins.
   std::unique_ptr<ThreadPool> worker_pool_;
   std::shared_ptr<ReloadState> reload_state_;
   std::thread reload_thread_;
-
-  std::mutex conns_mu_;
-  struct ReaderSlot {
-    std::thread thread;
-    std::shared_ptr<Connection> conn;
-  };
-  std::vector<ReaderSlot> readers_;
-  size_t active_connections_ = 0;
+  /// Admitted queries not yet answered (inline and offloaded).
+  std::atomic<size_t> inflight_{0};
 
   FlightRecorder flight_;
   obs::WindowedAggregator window_;

@@ -264,23 +264,6 @@ void VersionedHll::MaxRanks(Timestamp bound,
   }
 }
 
-void VersionedHll::CompactExpired(Timestamp frontier, Duration window) {
-  const Timestamp bound = frontier + window;
-  uint32_t write = 0;
-  uint32_t read = 0;
-  for (size_t c = 0; c < num_cells(); ++c) {
-    const uint32_t end = offsets_[c + 1];
-    const uint32_t cell_start = write;
-    for (; read < end && entries_[read].time < bound; ++read) {
-      entries_[write++] = entries_[read];
-    }
-    read = end;
-    offsets_[c + 1] = write;
-    max_ranks_[c] = write == cell_start ? 0 : entries_[write - 1].rank;
-  }
-  entries_.resize(write);
-}
-
 void VersionedHll::Clear() {
   entries_.clear();
   std::fill(offsets_.begin(), offsets_.end(), 0);

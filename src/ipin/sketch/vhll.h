@@ -38,8 +38,7 @@ obs::MemoryTally& VhllMemTally();
 /// drops entries far ahead of the scan frontier. In the IRS application
 /// those entries still belong to sigma_omega(u) (only their merge
 /// eligibility has expired), so dropping them would bias Estimate(); the
-/// IRS algorithm therefore never calls CompactExpired. It is provided for
-/// callers that only ever issue windowed queries (EstimateBefore).
+/// sketch therefore never drops entries.
 ///
 /// Memory layout: one contiguous entry buffer per sketch, cell-major (cell
 /// 0's list, then cell 1's, ...), plus beta + 1 u32 offsets so cell c is
@@ -116,11 +115,6 @@ class VersionedHll {
   /// answers many windowed queries back to back). `*scratch` is resized as
   /// needed; contents on entry are ignored.
   double EstimateBefore(Timestamp bound, std::vector<uint8_t>* scratch) const;
-
-  /// Drops entries that can no longer affect any windowed query with
-  /// merge_time <= frontier: entries with time >= frontier + window.
-  /// WARNING: biases Estimate() downwards; see class comment.
-  void CompactExpired(Timestamp frontier, Duration window);
 
   /// Resets to the empty sketch.
   void Clear();

@@ -1,11 +1,20 @@
 #include "ipin/serve/router.h"
 
+#include <fcntl.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -14,6 +23,7 @@
 
 #include "ipin/common/failpoint.h"
 #include "ipin/common/logging.h"
+#include "ipin/common/random.h"
 #include "ipin/core/irs_approx.h"
 #include "ipin/datasets/synthetic.h"
 #include "ipin/serve/client.h"
@@ -32,6 +42,56 @@ namespace ipin::serve {
 namespace {
 
 constexpr size_t kNumNodes = 60;
+
+// Raw Unix-socket helpers for tests that speak the wire protocol in ways
+// the client library does not (pipelining, split writes, never reading).
+int ConnectUnix(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  timeval tv{.tv_sec = 10, .tv_usec = 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  return fd;
+}
+
+bool SendAll(int fd, const std::string& data) {
+  size_t written = 0;
+  while (written < data.size()) {
+    const ssize_t n = ::send(fd, data.data() + written, data.size() - written,
+                             MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return false;
+    }
+    written += static_cast<size_t>(n);
+  }
+  return true;
+}
+
+// Reads until `count` newline-terminated lines arrived (or EOF/error).
+std::vector<std::string> ReadLines(int fd, size_t count) {
+  std::vector<std::string> lines;
+  std::string buffer;
+  while (lines.size() < count) {
+    const size_t newline = buffer.find('\n');
+    if (newline != std::string::npos) {
+      lines.push_back(buffer.substr(0, newline));
+      buffer.erase(0, newline + 1);
+      continue;
+    }
+    char chunk[4096];
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n <= 0) break;
+    buffer.append(chunk, static_cast<size_t>(n));
+  }
+  return lines;
+}
 
 class RouterTest : public ::testing::Test {
  protected:
@@ -819,6 +879,236 @@ TEST_F(RouterTest, FleetReplacementResetsTheCircuitBreaker) {
   EXPECT_EQ(response->status, StatusCode::kOk);
   EXPECT_FALSE(response->degraded);
   EXPECT_DOUBLE_EQ(response->estimate, full_->EstimateUnionSize(all_seeds));
+}
+
+// --- The event-loop data plane: pipelined legs, framing, slow consumers ---
+
+// Differential test of the pipelined scatter-gather against the single full
+// index: seeded random seed sets (|S| in [1, 200]), 1-5 shards, random
+// reshard (double-dispatch) plans, and 80 requests pipelined on ONE client
+// connection, so replies come back correlated by id in whatever order the
+// legs land. Every estimate and rank vector must be bit-equal to the full
+// index, and every topk must match its order.
+TEST_F(RouterTest, MatchesSingleIndexOverRandomSeedSetsAndReshardPlans) {
+  const size_t beta = size_t{1} << full_->options().precision;
+  std::vector<std::pair<NodeId, double>> ranking;
+  for (NodeId u = 0; u < full_->num_nodes(); ++u) {
+    if (full_->Sketch(u)) ranking.emplace_back(u, full_->Sketch(u).Estimate());
+  }
+  std::sort(ranking.begin(), ranking.end(), [](const auto& a, const auto& b) {
+    if (a.second != b.second) return a.second > b.second;
+    return a.first < b.first;
+  });
+
+  Rng rng(20261019);
+  for (int plan = 0; plan < 6; ++plan) {
+    SCOPED_TRACE("plan " + std::to_string(plan));
+    if (router_ != nullptr) router_->Shutdown();
+    for (auto& server : shard_servers_) {
+      if (server != nullptr) server->Shutdown();
+    }
+    const size_t old_shards = 1 + rng.NextBounded(5);
+    StartShards(old_shards);
+    // Every other plan is a live reshard to 1-5 new shards, whose backends
+    // serve their slices of the grown (or shrunk) map.
+    if (plan % 2 == 1) {
+      const size_t new_shards = 1 + rng.NextBounded(5);
+      std::vector<ShardInfo> infos(new_shards);
+      for (size_t i = 0; i < new_shards; ++i) {
+        infos[i].name = "next" + std::to_string(i);
+        infos[i].endpoint.unix_socket_path = ShardSocket(10 + i);
+      }
+      auto next = std::make_shared<ShardMap>(infos);
+      next->BeginTransition(map_);
+      for (size_t i = 0; i < new_shards; ++i) {
+        socket_paths_.push_back(infos[i].endpoint.unix_socket_path);
+        auto index = std::make_unique<IndexManager>("");
+        index->Install(std::make_shared<const IrsApprox>(
+            ExtractShardIndex(*full_, *next, i)));
+        shard_indexes_.push_back(std::move(index));
+        shard_servers_.push_back(nullptr);
+        StartShard(shard_servers_.size() - 1);
+      }
+      manager_->Install(next);
+    }
+    constexpr int kRequests = 80;
+    RouterOptions options;
+    options.queue_capacity = 2 * kRequests;  // admit the whole pipeline
+    StartRouter(options);
+
+    std::map<int64_t, Request> sent;
+    std::string burst;
+    for (int r = 1; r <= kRequests; ++r) {
+      Request request;
+      request.id = r;
+      request.deadline_ms = 10000;
+      if (rng.NextBounded(8) == 0) {
+        request.method = Method::kTopk;
+        request.k = 1 + static_cast<int64_t>(rng.NextBounded(10));
+      } else {
+        request.mode = QueryMode::kSketch;
+        request.want_ranks = rng.NextBounded(2) == 0;
+        const size_t size = 1 + rng.NextBounded(200);
+        for (size_t i = 0; i < size; ++i) {
+          request.seeds.push_back(
+              static_cast<NodeId>(rng.NextBounded(kNumNodes)));
+        }
+      }
+      burst += SerializeRequest(request);
+      sent.emplace(r, std::move(request));
+    }
+    const int fd = ConnectUnix(router_socket_);
+    ASSERT_GE(fd, 0);
+    ASSERT_TRUE(SendAll(fd, burst));
+    const std::vector<std::string> lines = ReadLines(fd, kRequests);
+    ::close(fd);
+    ASSERT_EQ(lines.size(), static_cast<size_t>(kRequests));
+
+    std::set<int64_t> seen;
+    for (const std::string& line : lines) {
+      const auto response = ParseResponse(line);
+      ASSERT_TRUE(response.has_value()) << line;
+      ASSERT_TRUE(seen.insert(response->id).second) << "duplicate " << line;
+      const auto it = sent.find(response->id);
+      ASSERT_NE(it, sent.end()) << line;
+      const Request& request = it->second;
+      ASSERT_EQ(response->status, StatusCode::kOk) << line;
+      EXPECT_FALSE(response->degraded) << line;
+      EXPECT_EQ(response->coverage, 1.0) << line;
+      if (request.method == Method::kTopk) {
+        const size_t k = std::min<size_t>(request.k, ranking.size());
+        ASSERT_EQ(response->topk.size(), k) << line;
+        for (size_t i = 0; i < k; ++i) {
+          EXPECT_EQ(response->topk[i].first, ranking[i].first) << line;
+          EXPECT_EQ(response->topk[i].second, ranking[i].second) << line;
+        }
+        continue;
+      }
+      EXPECT_EQ(response->estimate, full_->EstimateUnionSize(request.seeds))
+          << line;
+      if (request.want_ranks) {
+        std::vector<uint8_t> ranks(beta, 0);
+        for (const NodeId u : request.seeds) {
+          const SketchView sketch = full_->Sketch(u);
+          if (!sketch) continue;
+          for (size_t c = 0; c < beta; ++c) {
+            ranks[c] = std::max(ranks[c], sketch.max_ranks()[c]);
+          }
+        }
+        EXPECT_EQ(response->ranks, ranks) << line;
+      } else {
+        EXPECT_TRUE(response->ranks.empty()) << line;
+      }
+    }
+  }
+}
+
+// Line framing on the router's loops: a request dribbled in 1-byte writes,
+// a batch of requests in one write, and a line over kMaxLineBytes, which
+// drops the connection.
+TEST_F(RouterTest, LineFramingHandlesSplitBatchedAndOversizedLines) {
+  StartShards(2);
+  StartRouter();
+  const std::vector<NodeId> seeds = {1, 2, 3, 40, 50};
+  const double truth = full_->EstimateUnionSize(seeds);
+
+  int fd = ConnectUnix(router_socket_);
+  ASSERT_GE(fd, 0);
+  Request request;
+  request.id = 7;
+  request.mode = QueryMode::kSketch;
+  request.seeds = seeds;
+  const std::string line = SerializeRequest(request);
+  for (const char byte : line) {
+    ASSERT_TRUE(SendAll(fd, std::string(1, byte)));
+  }
+  auto lines = ReadLines(fd, 1);
+  ASSERT_EQ(lines.size(), 1u);
+  auto response = ParseResponse(lines[0]);
+  ASSERT_TRUE(response.has_value()) << lines[0];
+  EXPECT_EQ(response->id, 7);
+  EXPECT_EQ(response->estimate, truth);
+
+  std::string batch;
+  for (int i = 1; i <= 30; ++i) {
+    request.id = 100 + i;
+    batch += SerializeRequest(request);
+    batch += i % 3 == 0 ? "\n" : "";  // blank lines are skipped
+  }
+  ASSERT_TRUE(SendAll(fd, batch));
+  lines = ReadLines(fd, 30);
+  ASSERT_EQ(lines.size(), 30u);
+  std::set<int64_t> ids;
+  for (const std::string& reply : lines) {
+    response = ParseResponse(reply);
+    ASSERT_TRUE(response.has_value()) << reply;
+    EXPECT_EQ(response->status, StatusCode::kOk);
+    EXPECT_EQ(response->estimate, truth);
+    ids.insert(response->id);
+  }
+  EXPECT_EQ(ids.size(), 30u);
+
+  // An unterminated line past kMaxLineBytes: the router hangs up.
+  const std::string huge(kMaxLineBytes + 4096, 'x');
+  SendAll(fd, huge);  // may fail part-way once the router has hung up
+  char byte;
+  EXPECT_LE(::recv(fd, &byte, 1, 0), 0);
+  ::close(fd);
+
+  // The router itself is unaffected.
+  OracleClient client = RouterClient();
+  const auto after = client.Query(seeds, QueryMode::kSketch);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->estimate, truth);
+}
+
+// Mirror of ServeServerTest.SlowConsumerIsCutOffNotWedgingServer: the
+// router's nonblocking write path must cut off a client that pipelines
+// requests but never reads, keep serving everyone else, and shut down in
+// bounded time.
+TEST_F(RouterTest, SlowConsumerIsCutOffNotWedgingRouter) {
+  StartShards(2);
+  RouterOptions options;
+  options.write_timeout_ms = 100;
+  StartRouter(options);
+
+  const int fd = ConnectUnix(router_socket_);
+  ASSERT_GE(fd, 0);
+  const int flags = ::fcntl(fd, F_GETFL, 0);
+  ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
+  const std::string request = "{\"method\": \"health\"}\n";
+  std::string chunk;
+  for (int i = 0; i < 64; ++i) chunk += request;
+  size_t sent = 0;
+  // Push until our own send buffer jams (router stopped consuming) or we
+  // have pushed far more than any buffer chain holds.
+  for (int spins = 0; sent < (8u << 20) && spins < 200;) {
+    const ssize_t n = ::send(fd, chunk.data(), chunk.size(), MSG_NOSIGNAL);
+    if (n > 0) {
+      sent += static_cast<size_t>(n);
+      spins = 0;
+    } else if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      ++spins;
+      std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    } else {
+      break;  // reset by the router: it already cut us off
+    }
+  }
+
+  OracleClient client = RouterClient();
+  const std::vector<NodeId> seeds = {1, 2, 40};
+  const auto response = client.Query(seeds, QueryMode::kSketch);
+  ASSERT_TRUE(response.has_value());
+  EXPECT_EQ(response->status, StatusCode::kOk);
+  EXPECT_EQ(response->estimate, full_->EstimateUnionSize(seeds));
+
+  const auto start = std::chrono::steady_clock::now();
+  router_->Shutdown();
+  const auto elapsed = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+                .count(),
+            3000);
+  ::close(fd);
 }
 
 }  // namespace

@@ -929,5 +929,122 @@ TEST_F(ServeServerTest, TopkVerbMatchesLocalRanking) {
 }
 
 
+// Line framing on the server's loops: a request dribbled in 1-byte writes,
+// a batch of requests in one write, and a line over kMaxLineBytes, which
+// drops the connection.
+TEST_F(ServeServerTest, LineFramingHandlesSplitBatchedAndOversizedLines) {
+  StartServer();
+  const std::vector<NodeId> seeds = {1, 2, 3};
+  const double truth = index_->Current()->EstimateUnionSize(seeds);
+  const int fd = ConnectUnix(socket_path_);
+  ASSERT_GE(fd, 0);
+  timeval tv{.tv_sec = 10, .tv_usec = 0};
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+
+  Request request;
+  request.id = 7;
+  request.mode = QueryMode::kSketch;
+  request.seeds = seeds;
+  const std::string line = SerializeRequest(request);
+  for (const char byte : line) {
+    ASSERT_TRUE(SendAll(fd, std::string(1, byte)));
+  }
+  auto lines = ReadLines(fd, 1);
+  ASSERT_EQ(lines.size(), 1u);
+  auto response = ParseResponse(lines[0]);
+  ASSERT_TRUE(response.has_value()) << lines[0];
+  EXPECT_EQ(response->id, 7);
+  EXPECT_EQ(response->estimate, truth);
+
+  // Many requests in one write, blank lines between some of them; health
+  // probes ride along with the queries.
+  std::string batch;
+  for (int i = 1; i <= 40; ++i) {
+    if (i % 4 == 0) {
+      batch += "{\"id\": " + std::to_string(100 + i) +
+               ", \"method\": \"health\"}\n\n";
+    } else {
+      request.id = 100 + i;
+      batch += SerializeRequest(request);
+    }
+  }
+  ASSERT_TRUE(SendAll(fd, batch));
+  lines = ReadLines(fd, 40);
+  ASSERT_EQ(lines.size(), 40u);
+  std::set<int64_t> ids;
+  for (const std::string& reply : lines) {
+    response = ParseResponse(reply);
+    ASSERT_TRUE(response.has_value()) << reply;
+    EXPECT_EQ(response->status, StatusCode::kOk) << reply;
+    if (response->id % 4 != 0) {
+      EXPECT_EQ(response->estimate, truth) << reply;
+    }
+    ids.insert(response->id);
+  }
+  EXPECT_EQ(ids.size(), 40u);
+
+  // An unterminated line past kMaxLineBytes: the server hangs up.
+  const std::string huge(kMaxLineBytes + 4096, 'x');
+  SendAll(fd, huge);  // may fail part-way once the server has hung up
+  char byte;
+  EXPECT_LE(::recv(fd, &byte, 1, 0), 0);
+  ::close(fd);
+
+  OracleClient client(MakeClientOptions());
+  const auto after = client.Query(seeds, QueryMode::kSketch);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->estimate, truth);
+}
+
+// The inline rule: a small sketch-path query is answered on its loop (its
+// flight record shows no queue wait), an exact one goes through the
+// offload queue, and stats report the loops and the requests in flight.
+TEST_F(ServeServerTest, SmallSketchQueriesAreAnsweredInline) {
+  LoadExact();
+  ServerOptions options;
+  options.num_workers = 3;
+  StartServer(options);
+  OracleClient client(MakeClientOptions());
+#ifndef IPIN_OBS_DISABLED
+  const uint64_t inline0 = obs::MetricsRegistry::Global()
+                               .GetCounter("serve.requests.inline")
+                               ->Value();
+#endif
+  ASSERT_TRUE(client.Query({1, 2, 3}, QueryMode::kSketch).has_value());
+  const uint64_t sketch_trace = client.last_trace_id();
+  ASSERT_TRUE(client.Query({1, 2, 3}, QueryMode::kExact).has_value());
+  const uint64_t exact_trace = client.last_trace_id();
+#ifndef IPIN_OBS_DISABLED
+  EXPECT_EQ(obs::MetricsRegistry::Global()
+                .GetCounter("serve.requests.inline")
+                ->Value(),
+            inline0 + 1);
+#endif
+  bool saw_sketch = false;
+  bool saw_exact = false;
+  for (const auto& record : server_->flight_recorder().RecentSnapshot()) {
+    if (record.trace_id == sketch_trace) {
+      saw_sketch = true;
+      EXPECT_EQ(record.queue_us, 0);
+    }
+    if (record.trace_id == exact_trace) saw_exact = true;
+  }
+  EXPECT_TRUE(saw_sketch);
+  EXPECT_TRUE(saw_exact);
+
+  Request stats;
+  stats.method = Method::kStats;
+  const auto response = client.Call(stats);
+  ASSERT_TRUE(response.has_value());
+  double loops = -1.0;
+  double inflight = -1.0;
+  for (const auto& [key, value] : response->info) {
+    if (key == "loops") loops = value;
+    if (key == "inflight") inflight = value;
+  }
+  EXPECT_DOUBLE_EQ(loops, 3.0);
+  EXPECT_DOUBLE_EQ(inflight, 0.0);
+}
+
 }  // namespace
 }  // namespace ipin::serve

@@ -237,22 +237,6 @@ TEST(VhllTest, MergePreservesPerBoundMaxRanks) {
   }
 }
 
-TEST(VhllTest, CompactExpiredKeepsWindowedQueriesIntact) {
-  VersionedHll vhll(8);
-  Rng rng(13);
-  for (int i = 0; i < 3000; ++i) {
-    vhll.Add(rng.NextBounded(5000), static_cast<Timestamp>(rng.NextBounded(1000)));
-  }
-  const Timestamp frontier = 200;
-  const Duration window = 300;
-  const double before = vhll.EstimateBefore(frontier + window);
-  const size_t entries_before = vhll.NumEntries();
-  vhll.CompactExpired(frontier, window);
-  EXPECT_LT(vhll.NumEntries(), entries_before);
-  EXPECT_DOUBLE_EQ(vhll.EstimateBefore(frontier + window), before);
-  EXPECT_TRUE(vhll.CheckInvariants());
-}
-
 TEST(VhllTest, CellListsStayLogarithmic) {
   // Lemma 4: expected undominated pairs per cell is O(log inserts). Insert
   // many items in reverse time order and check the max list length is far
